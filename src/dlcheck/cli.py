@@ -49,7 +49,7 @@ def cmd_corpus(args) -> int:
     from .report import score_corpus
     labels = args.labels or str(Path(args.directory) / "labels.json")
     summary = score_corpus(args.directory, labels, cfg=_prop_config(args),
-                           kb=_load_kb(args), workers=args.workers)
+                           kb=_load_kb(args))
     print(summary.to_json() if args.format == "json" else summary.to_text())
     return 0 if not summary.warnings else 2
 
@@ -137,7 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corpus", help="score a labeled notebook corpus")
     p.add_argument("directory")
     p.add_argument("--labels", help="labels JSON (default: DIR/labels.json)")
-    p.add_argument("--workers", type=int, default=4)
     _add_common(p)
     p.set_defaults(fn=cmd_corpus)
 

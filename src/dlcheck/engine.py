@@ -17,11 +17,11 @@ from .interp import (
     AnalysisError,
     BOT_STATE,
     Finding,
-    _eager_findings,
+    check_leakage,
     state_leq,
     transfer,
 )
-from .lang import Use
+from .lang import stmt_uses
 from .notebook import CellIR, Notebook
 
 
@@ -63,8 +63,9 @@ def _run_cell(cell: CellIR, state: AbstractState, halt: bool, warnings: list):
         except AnalysisError as e:
             warnings.append(f"cell {cell.id}: {e}")
             continue
-        if isinstance(s, Use):
-            hits = _eager_findings(state, s, s.site)
+        uses = stmt_uses(s)
+        if uses:
+            hits = check_leakage(state, uses)
             if hits:
                 if halt:
                     findings.append(hits[0])

@@ -46,6 +46,7 @@ from .lang import (
     Use,
     expr_le,
     stmt_text,
+    stmt_uses,
 )
 
 
@@ -306,32 +307,35 @@ def _pair_finding(m: AbstractState, o1, o2) -> Finding | None:
     return None
 
 
-def check_leakage(m: AbstractState) -> list[Finding]:
-    """All leaking train/test pairs in the state, deduplicated per pair."""
+def check_leakage(m: AbstractState, uses=None) -> list[Finding]:
+    """Leaking train/test pairs in the state, deduplicated per pair.
+
+    ``uses`` are the ``Use`` nodes one statement contains, at any depth, and
+    ``m`` the state after it ran: then only the pairs they add are checked,
+    each use's arguments against every recorded use of the other kind.  The
+    uses are read from the statement, not from the state, because
+    ``record_use`` keeps a (var, site) pair only once, and a cell may run
+    again after its variable was rebound.  Without ``uses`` every recorded
+    pair is checked.
+    """
+    if uses is None:
+        pairs = [(o1, o2) for o1 in m.train_uses for o2 in m.test_uses]
+    else:
+        pairs = []
+        for u in uses:
+            new = [(a, u.site) for a in u.args]
+            if u.kind == "train":
+                pairs += [(o1, o2) for o1 in new for o2 in m.test_uses]
+            else:
+                pairs += [(o1, o2) for o1 in m.train_uses for o2 in new]
     findings: list[Finding] = []
     seen = set()
-    for o1 in m.train_uses:
-        for o2 in m.test_uses:
-            f = _pair_finding(m, o1, o2)
-            if f is not None and f.key not in seen:
-                seen.add(f.key)
-                findings.append(f)
-    return findings
-
-
-def _eager_findings(m: AbstractState, use: Use, site) -> list[Finding]:
-    """Check only the pairs contributed by one use statement."""
-    new = [(a, site) for a in use.args]
-    if use.kind == "train":
-        pairs = [(o1, o2) for o1 in new for o2 in m.test_uses]
-    else:
-        pairs = [(o1, o2) for o1 in m.train_uses for o2 in new]
-    out = []
     for o1, o2 in pairs:
         f = _pair_finding(m, o1, o2)
-        if f is not None:
-            out.append(f)
-    return out
+        if f is not None and f.key not in seen:
+            seen.add(f.key)
+            findings.append(f)
+    return findings
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +362,7 @@ class ProgramRun:
 
 def run_program(p: Program, transfer_fn=None) -> ProgramRun:
     """Fold the transfer over the program from the empty state, checking
-    eagerly after each use and sweeping once at the end."""
+    the train/test pairs each statement's uses add."""
     tf = transfer_fn or transfer
     state = BOT_STATE
     states: list[AbstractState] = []
@@ -367,15 +371,12 @@ def run_program(p: Program, transfer_fn=None) -> ProgramRun:
     for s in p.statements:
         state = tf(s, state)
         states.append(state)
-        if isinstance(s, Use):
-            for f in _eager_findings(state, s, s.site):
+        uses = stmt_uses(s)
+        if uses:
+            for f in check_leakage(state, uses):
                 if f.key not in seen:
                     seen.add(f.key)
                     findings.append(f)
-    for f in check_leakage(state):
-        if f.key not in seen:
-            seen.add(f.key)
-            findings.append(f)
     return ProgramRun(list(p.statements), states, state, findings)
 
 

@@ -350,22 +350,24 @@ def input_sources(p: Program) -> frozenset[str]:
     return frozenset(files)
 
 
+def stmt_uses(s: Statement) -> tuple[Use, ...]:
+    """The train/test uses a statement contains at any depth, in order."""
+    if isinstance(s, Use):
+        return (s,)
+    if isinstance(s, Branch):
+        return tuple(u for arm in s.arms for x in arm for u in stmt_uses(x))
+    if isinstance(s, Loop):
+        return tuple(u for x in s.body for u in stmt_uses(x))
+    return ()
+
+
 def used_vars(p: Program) -> tuple[frozenset[str], frozenset[str]]:
     """Variables passed to train uses and to test uses, respectively."""
     train: set[str] = set()
     test: set[str] = set()
-
-    def walk(stmts):
-        for s in stmts:
-            if isinstance(s, Use):
-                (train if s.kind == "train" else test).update(s.args)
-            elif isinstance(s, Branch):
-                for arm in s.arms:
-                    walk(arm)
-            elif isinstance(s, Loop):
-                walk(s.body)
-
-    walk(p.statements)
+    for s in p.statements:
+        for u in stmt_uses(s):
+            (train if u.kind == "train" else test).update(u.args)
     return frozenset(train), frozenset(test)
 
 

@@ -478,91 +478,55 @@ class _Translator:
             self.emit(Select(out, src, rows=None, cols=None, site=self.site()))
             return out
 
-        if cls in ("merge_concat", "merge_join"):
-            op = "concat" if cls == "merge_concat" else "join"
-            operands = ([recv_df] if recv_df else []) + self.df_args(node)
-            if not operands:
-                return None
-            if len(operands) == 1:
-                out = target or self.fresh_temp()
-                self.df_vars.add(out)
-                self.emit(Apply(out, fn, operands[0], site=self.site()))
-                return out
-            acc = operands[0]
-            for nxt in operands[1:-1]:
-                t = self.fresh_temp()
-                self.df_vars.add(t)
-                self.emit(Merge(t, op, acc, nxt, site=self.site()))
-                acc = t
-            out = target or self.fresh_temp()
-            self.df_vars.add(out)
-            self.emit(Merge(out, op, acc, operands[-1], site=self.site()))
-            return out
-
-        if cls == "normalize":
-            operands = ([recv_df] if recv_df else []) + self.df_args(node)
-            if not operands:
-                return None
-            out = target or self.fresh_temp()
-            self.df_vars.add(out)
-            self.emit(Apply(out, "normalize", operands[0], site=self.site()))
-            return out
-
-        if cls == "other":
-            operands = ([recv_df] if recv_df else []) + self.df_args(node)
-            if not operands:
-                return None
-            src = operands[0]
-            if len(operands) > 1:
-                for nxt in operands[1:]:
-                    t = self.fresh_temp()
-                    self.df_vars.add(t)
-                    self.emit(Merge(t, "concat", src, nxt, site=self.site()))
-                    src = t
-            out = target or self.fresh_temp()
-            self.df_vars.add(out)
-            self.emit(Apply(out, fn, src, site=self.site()))
-            return out
-
-        if cls in ("train", "test"):
-            args = ([recv_df] if recv_df else []) + self.df_args(node)
-            if args:
-                self.emit(Use(cls, tuple(dict.fromkeys(args)), site=self.site()))
-            else:
-                self.warn(f"{fn} call without data-frame arguments dropped")
-            return None
-
         if cls == "split":
             # Only meaningful under a tuple assignment; handled there.
             return None
 
-        # unknown
         operands = ([recv_df] if recv_df else []) + self.df_args(node)
-        if operands:
-            self.warn(f"unknown function {fn!r}; treating result as opaque transform")
-            src = operands[0]
-            if len(operands) > 1:
-                for nxt in operands[1:]:
-                    t = self.fresh_temp()
-                    self.df_vars.add(t)
-                    self.emit(Merge(t, "concat", src, nxt, site=self.site()))
-                    src = t
-            out = target or self.fresh_temp()
-            self.df_vars.add(out)
-            self.emit(Apply(out, "unknown", src, site=self.site()))
-            return out
-        return None
+        if cls in ("train", "test"):
+            if operands:
+                self.emit(Use(cls, tuple(dict.fromkeys(operands)), site=self.site()))
+            else:
+                self.warn(f"{fn} call without data-frame arguments dropped")
+            return None
+        if not operands:
+            return None
+        if cls in ("merge_concat", "merge_join"):
+            op = "concat" if cls == "merge_concat" else "join"
+            return self.chain(operands, target, fn, op, merge_last=True)
+        if cls == "normalize":
+            return self.chain(operands[:1], target, "normalize")
+        if cls == "other":
+            return self.chain(operands, target, fn)
+        self.warn(f"unknown function {fn!r}; treating result as opaque transform")
+        return self.chain(operands, target, "unknown")
+
+    def chain(self, operands: list[str], target, fn: str, op: str = "concat",
+              merge_last: bool = False) -> str:
+        """Merge the operands left to right with ``op`` into temporaries,
+        then bind the result to ``target`` (or a fresh temporary): by
+        ``Apply(fn)`` on the merged frame, or, with ``merge_last`` and two or
+        more operands, by the last merge itself."""
+        last = operands[-1] if merge_last and len(operands) > 1 else None
+        src = operands[0]
+        for nxt in operands[1:-1] if last is not None else operands[1:]:
+            t = self.fresh_temp()
+            self.df_vars.add(t)
+            self.emit(Merge(t, op, src, nxt, site=self.site()))
+            src = t
+        out = target or self.fresh_temp()
+        self.df_vars.add(out)
+        if last is None:
+            self.emit(Apply(out, fn, src, site=self.site()))
+        else:
+            self.emit(Merge(out, op, src, last, site=self.site()))
+        return out
 
     def inline_call(self, name: str, node: ast.Call, target=None) -> str | None:
         if name in self.inline_stack or len(self.inline_stack) >= _MAX_INLINE_DEPTH:
             self.warn(f"recursive function {name!r} treated as unknown")
             operands = self.df_args(node)
-            if operands:
-                out = target or self.fresh_temp()
-                self.df_vars.add(out)
-                self.emit(Apply(out, "unknown", operands[0], site=self.site()))
-                return out
-            return None
+            return self.chain(operands[:1], target, "unknown") if operands else None
         fdef = self.defs[name]
         arg_vals = [self.eval_expr(a, allow_unbound_df=True) for a in node.args]
         saved = dict(self.cur)
@@ -776,12 +740,10 @@ class _Translator:
 
     # -- entry ----------------------------------------------------------------
 
-    def translate(self, source: str) -> CellIR:
-        try:
-            tree = ast.parse(source)
-        except SyntaxError as e:
+    def translate(self, source: str, tree: ast.Module | SyntaxError) -> CellIR:
+        if isinstance(tree, SyntaxError):
             return CellIR(self.cell_id, source, (), frozenset(),
-                          (), (f"syntax error: {e.msg} (line {e.lineno})",))
+                          (), (f"syntax error: {tree.msg} (line {tree.lineno})",))
         for stmt in tree.body:
             self.translate_stmt(stmt)
         statements = tuple(self.stmts)
@@ -795,11 +757,24 @@ class _Translator:
         )
 
 
+def _parse_cell(source: str) -> ast.Module | SyntaxError:
+    """The cell's syntax tree, or the error that stopped its parse."""
+    try:
+        return ast.parse(source)
+    except SyntaxError as e:
+        return e
+
+
 def translate_cell(source: str, kb: KnowledgeBase | None = None,
-                   defs=None, cell_id: int = 1, imports=None) -> CellIR:
-    """Translate one cell's Python source into analyzer statements."""
+                   defs=None, cell_id: int = 1, imports=None,
+                   tree: ast.Module | SyntaxError | None = None) -> CellIR:
+    """Translate one cell's Python source into analyzer statements.  ``tree``
+    is the source's syntax tree, or its ``SyntaxError``, when the caller has
+    already parsed it."""
+    if tree is None:
+        tree = _parse_cell(source)
     return _Translator(kb or default_kb(), dict(defs or {}), cell_id,
-                       imports).translate(source)
+                       imports).translate(source, tree)
 
 
 # ---------------------------------------------------------------------------
@@ -826,69 +801,31 @@ def _code_cells(data: bytes) -> list[str]:
     return out
 
 
-def _collect_defs(sources) -> list[dict]:
-    """Function definitions visible to each cell: everything defined in the
-    same or an earlier cell."""
-    acc: dict[str, ast.FunctionDef] = {}
-    per_cell = []
-    for src in sources:
-        try:
-            tree = ast.parse(src)
-        except SyntaxError:
-            per_cell.append(dict(acc))
-            continue
-        for node in ast.walk(tree):
-            if isinstance(node, ast.FunctionDef):
-                acc[node.name] = node
-        per_cell.append(dict(acc))
-    return per_cell
+def load_notebook(data: bytes, kb: KnowledgeBase | None = None) -> Notebook:
+    """Parse an .ipynb document and translate its code cells in order.
 
-
-def _collect_imports(sources) -> list[tuple[dict, dict]]:
-    """Import aliases visible to each cell, cumulative over earlier cells."""
+    Each cell sees the import aliases of the cells before it and the
+    function definitions of those cells and its own, at any depth.
+    """
+    kb = kb or default_kb()
+    defs: dict[str, ast.FunctionDef] = {}
     mods: dict[str, str] = {}
     froms: dict[str, tuple[str, str]] = {}
-    per_cell = []
-    for src in sources:
-        per_cell.append((dict(mods), dict(froms)))
-        try:
-            tree = ast.parse(src)
-        except SyntaxError:
-            continue
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    mods[alias.asname or alias.name.split(".")[0]] = alias.name
-            elif isinstance(node, ast.ImportFrom):
-                for alias in node.names:
-                    froms[alias.asname or alias.name] = (node.module or "",
-                                                         alias.name)
-    return per_cell
-
-
-def load_notebook(data: bytes, kb: KnowledgeBase | None = None,
-                  inline: bool = True) -> Notebook:
-    """Parse an .ipynb document and translate its code cells in order."""
-    kb = kb or default_kb()
-    sources = _code_cells(data)
-    defs = _collect_defs(sources) if inline else [{} for _ in sources]
-    imports = _collect_imports(sources)
-    cells = tuple(
-        translate_cell(src, kb, defs=d, cell_id=i, imports=imp)
-        for i, (src, d, imp) in enumerate(zip(sources, defs, imports), start=1)
-    )
-    return Notebook(cells)
-
-
-def inline_functions(nb: Notebook, kb: KnowledgeBase | None = None) -> Notebook:
-    """Re-translate every cell with user function definitions from earlier
-    cells inlined at their call sites."""
-    kb = kb or default_kb()
-    sources = [c.source for c in nb.cells]
-    defs = _collect_defs(sources)
-    imports = _collect_imports(sources)
-    cells = tuple(
-        translate_cell(src, kb, defs=d, cell_id=c.id, imports=imp)
-        for c, (src, d, imp) in zip(nb.cells, zip(sources, defs, imports))
-    )
-    return Notebook(cells, nb.warnings)
+    cells = []
+    for i, src in enumerate(_code_cells(data), start=1):
+        tree = _parse_cell(src)
+        imports = (dict(mods), dict(froms))
+        if not isinstance(tree, SyntaxError):
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef):
+                    defs[node.name] = node
+                elif isinstance(node, ast.Import):
+                    for alias in node.names:
+                        mods[alias.asname or alias.name.split(".")[0]] = alias.name
+                elif isinstance(node, ast.ImportFrom):
+                    for alias in node.names:
+                        froms[alias.asname or alias.name] = (node.module or "",
+                                                             alias.name)
+        cells.append(translate_cell(src, kb, defs=defs, cell_id=i,
+                                    imports=imports, tree=tree))
+    return Notebook(tuple(cells))

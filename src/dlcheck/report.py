@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -198,7 +197,7 @@ class CorpusSummary:
 
 
 def score_corpus(directory, labels_path, cfg: PropagationConfig | None = None,
-                 kb: KnowledgeBase | None = None, workers: int = 4) -> CorpusSummary:
+                 kb: KnowledgeBase | None = None) -> CorpusSummary:
     """Analyze every labeled notebook and tally reported findings against
     the expected (kind, train_var, test_var) triples."""
     directory = Path(directory)
@@ -232,12 +231,7 @@ def score_corpus(directory, labels_path, cfg: PropagationConfig | None = None,
         row.fn = len(exp - rep)
         return row
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_one, labels))
-    else:
-        rows = [run_one(e) for e in labels]
-    summary.rows = sorted(rows, key=lambda r: r.notebook)
+    summary.rows = sorted((run_one(e) for e in labels), key=lambda r: r.notebook)
     for r in summary.rows:
         if r.error:
             summary.warnings.append(f"{r.notebook}: {r.error}")

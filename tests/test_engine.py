@@ -159,3 +159,13 @@ def test_one_statement_per_cell_taint_chain():
     rec = res.findings[0]
     assert rec.finding.kind == "taint"
     assert rec.path_length == 6 and rec.trace == (1, 2, 3, 4, 5, 6)
+
+
+@pytest.mark.parametrize("header", ["for i in r:", "if c:"])
+def test_uses_nested_in_a_body_are_checked(header):
+    nb = load_notebook(notebook_bytes([
+        'import pandas as pd\ndf = pd.read_csv("a.csv")',
+        f"{header}\n    m.fit(df)\n    m.predict(df)",
+    ]))
+    res = analyze_notebook(nb)
+    assert [r.finding.key for r in res.findings] == [("overlap", "df", "df")]

@@ -1,3 +1,4 @@
+import ast
 import json
 
 import pytest
@@ -20,7 +21,6 @@ from dlcheck.notebook import (
     NotebookError,
     cell_precondition,
     default_kb,
-    inline_functions,
     load_notebook,
     translate_cell,
 )
@@ -238,14 +238,17 @@ def test_inline_known_function():
     assert nb.cells[1].statements == (Apply("y", "normalize", "x"),)
 
 
-def test_inline_functions_op_is_idempotent_with_load():
-    nb = load_notebook(notebook_bytes([
+def test_load_parses_each_code_cell_once(monkeypatch):
+    calls = []
+    parse = ast.parse
+    monkeypatch.setattr(ast, "parse", lambda *a, **k: calls.append(1) or parse(*a, **k))
+    load_notebook(notebook_bytes([
+        "import pandas as pd",
         "def prep(d):\n    return d.dropna()",
-        "y = prep(x)",
-    ]), inline=False)
-    assert nb.cells[1].statements == (Apply("y", "unknown", "x"),)
-    inlined = inline_functions(nb)
-    assert inlined.cells[1].statements == (Apply("y", "dropna", "x"),)
+        "y = prep(pd.read_csv('a.csv'))",
+        "def broken(:",
+    ], markdown=["# title"]))
+    assert len(calls) == 4
 
 
 def test_never_defined_function_is_unknown():
