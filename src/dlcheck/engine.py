@@ -3,8 +3,19 @@
 Analysis starts at a cell with no unbound variables, then flows the
 abstract state into every cell whose precondition is covered by it,
 depth-first.  A branch stops when it hits the depth bound, has no valid
-successor, re-enters a cell with a state already covered there (fixpoint
-subsumption), or detects a leak while halt-on-finding is enabled.
+successor, detects a leak while halt-on-finding is enabled, or is
+subsumed: it re-enters a cell with a state already covered there on the
+same branch, or reaches a state that an earlier branch has already
+expanded at the same or a shallower depth.
+
+Successors come from the notebook's index (variable -> cells whose
+precondition names it) and are cached per set of live variables; a node
+tests only the cells whose precondition names a variable that became live
+or dead since its parent state.  The expansion memo is what keeps the search from
+re-expanding a state that commuting cells reach in several orders; it only
+keeps expansions that did not depend on the branch they were made on (see
+``propagate``), so the findings and their witness traces are the ones a
+full search reports.
 """
 
 from __future__ import annotations
@@ -43,7 +54,11 @@ class PropagationConfig:
 class ExecutionTrace:
     cells: tuple[int, ...]
     findings: tuple[Finding, ...]
-    termination: str  # bound | no-valid-successor | subsumed | halted-on-finding
+    # bound | no-valid-successor | subsumed | halted-on-finding.  "subsumed"
+    # is either a re-entry with a state covered on the same branch (the cell
+    # did not run again) or a state an earlier branch already expanded at the
+    # same or a shallower depth (the cell ran; its successors did not).
+    termination: str
 
 
 def phi(m: AbstractState, pre) -> bool:
@@ -52,6 +67,27 @@ def phi(m: AbstractState, pre) -> bool:
     if not pre:
         return False
     return all(v in m.env and m.env[v].frames for v in pre)
+
+
+def successors(nb: Notebook, state: AbstractState, live: frozenset[str],
+               cache: dict, parent: tuple) -> tuple[int, ...]:
+    """The positions in ``nb.cells`` of the cells ``phi`` admits after
+    ``state``, in notebook order.
+
+    ``live`` is the set of variables the state binds to at least one frame,
+    which is all ``phi`` depends on, so the answer is cached per live set.
+    ``parent`` is the live set and the answer of the state this one came
+    from: on a miss only the cells whose precondition names a variable that
+    became live or dead since are tested; the others keep their answer."""
+    out = cache.get(live)
+    if out is None:
+        parent_live, out = parent
+        retest = {i for v in live ^ parent_live for i in nb.readers.get(v, ())}
+        if retest:
+            out = sorted({i for i in out if i not in retest}.union(
+                i for i in retest if phi(state, nb.cells[i].precondition)))
+        out = cache[live] = tuple(out)
+    return out
 
 
 def _run_cell(cell: CellIR, state: AbstractState, halt: bool, warnings: list):
@@ -101,41 +137,72 @@ def propagate(nb: Notebook, start: int, cfg: PropagationConfig | None = None,
             f"cell {start} cannot start an execution: unbound variables "
             f"{sorted(start_cell.precondition)}")
 
-    # Seen-states are tracked per branch (append on entry, pop on exit): a
-    # branch stops when it re-enters a cell with nothing new to contribute,
-    # but a sibling branch reaching the same cell first is not affected.
-    seen: dict[int, list[AbstractState]] = {c.id: [] for c in nb.cells}
+    # Seen-states are tracked per branch (append on entry, pop on exit), each
+    # with its depth: a branch stops when it re-enters a cell with nothing new
+    # to contribute, but a sibling branch reaching the same cell first is not
+    # affected.
+    seen: dict[int, list[tuple[AbstractState, int]]] = {c.id: [] for c in nb.cells}
+    # Output state -> the depth of a finished expansion of it.  An expansion
+    # is kept only if every seen-state that cut a branch below it was entered
+    # strictly below it: then it did not depend on the path that led to it,
+    # and re-expanding an equal state no shallower finds nothing earlier or
+    # shorter.
+    memo: dict[tuple, int] = {}
+    cache: dict[frozenset[str], tuple[int, ...]] = {}
     traces: list[ExecutionTrace] = []
+    unhit = float("inf")
 
-    def dfs(cell: CellIR, state_in: AbstractState, path: tuple[int, ...],
-            findings: tuple[Finding, ...]):
-        if any(state_leq(state_in, s) for s in seen[cell.id]):
-            traces.append(ExecutionTrace(path + (cell.id,), findings, "subsumed"))
-            return
-        seen[cell.id].append(state_in)
+    def dfs(cell: CellIR, state_in: AbstractState, parent: tuple,
+            path: tuple[int, ...], findings: tuple[Finding, ...]) -> float:
+        """Expand one node; ``parent`` is the live set and the successors
+        of ``state_in``.  Returns the shallowest depth at which a seen-state
+        cut a branch in its subtree (``unhit`` if none did); a cut is
+        charged to the deepest seen-state that covers the state."""
+        for s, entered in reversed(seen[cell.id]):
+            if state_leq(state_in, s):
+                traces.append(ExecutionTrace(path + (cell.id,), findings, "subsumed"))
+                return entered
+        path = path + (cell.id,)
+        depth = len(path)
+        seen[cell.id].append((state_in, depth))
         try:
             state, new, halted = _run_cell(cell, state_in, cfg.halt_on_finding,
                                            warnings)
-            path = path + (cell.id,)
             findings = findings + tuple(new)
             if records is not None:
                 records.extend(FindingRecord(f, path) for f in new)
             if halted:
                 traces.append(ExecutionTrace(path, findings, "halted-on-finding"))
-                return
-            candidates = [c for c in nb.cells if phi(state, c.precondition)]
+                return unhit
+            live = parent[0]
+            bound = nb.binds[cell.id]
+            if bound:
+                env = state.env
+                live = live.difference(bound).union(
+                    v for v in bound if v in env and env[v].frames)
+            candidates = successors(nb, state, live, cache, parent)
             if not candidates:
                 traces.append(ExecutionTrace(path, findings, "no-valid-successor"))
-                return
-            if cfg.k_bound is not None and len(path) >= cfg.k_bound:
+                return unhit
+            if cfg.k_bound is not None and depth >= cfg.k_bound:
                 traces.append(ExecutionTrace(path, findings, "bound"))
-                return
-            for c in candidates:
-                dfs(c, state, path, findings)
+                return unhit
+            key = (frozenset(state.env.items()), state.train_uses,
+                   state.test_uses, state.aligned)
+            if memo.get(key, depth + 1) <= depth:
+                traces.append(ExecutionTrace(path, findings, "subsumed"))
+                return unhit
+            hit = unhit
+            for i in candidates:
+                hit = min(hit, dfs(nb.cells[i], state, (live, candidates),
+                                   path, findings))
+            if hit > depth:
+                memo[key] = depth
+            return hit
         finally:
             seen[cell.id].pop()
 
-    dfs(start_cell, BOT_STATE, (), ())
+    dfs(start_cell, BOT_STATE, (frozenset(), ()), (), ())
     return traces
 
 
@@ -165,7 +232,9 @@ class NotebookAnalysis:
 def analyze_notebook(nb: Notebook, cfg: PropagationConfig | None = None,
                      start: int | None = None) -> NotebookAnalysis:
     """Propagate from every valid start cell (or one given cell) and
-    aggregate deduplicated findings, each with its shortest witness trace."""
+    aggregate deduplicated findings, each with its shortest witness trace.
+    Each engine warning is kept once, in first-seen order: a cell whose
+    statement fails warns on every visit."""
     cfg = cfg or PropagationConfig()
     out = NotebookAnalysis()
     for c in nb.cells:
@@ -175,10 +244,11 @@ def analyze_notebook(nb: Notebook, cfg: PropagationConfig | None = None,
         out.warnings.append("no valid start cells (all cells have unbound variables)")
         return out
     best: dict[tuple, FindingRecord] = {}
+    warnings: list[str] = []
     for s in starts:
         t0 = time.perf_counter()
         records: list[FindingRecord] = []
-        traces = propagate(nb, s, cfg, out.warnings, records)
+        traces = propagate(nb, s, cfg, warnings, records)
         out.event_seconds.append(time.perf_counter() - t0)
         out.events += 1
         out.traces.extend(traces)
@@ -186,6 +256,7 @@ def analyze_notebook(nb: Notebook, cfg: PropagationConfig | None = None,
             prev = best.get(rec.finding.key)
             if prev is None or rec.path_length < prev.path_length:
                 best[rec.finding.key] = rec
+    out.warnings.extend(dict.fromkeys(warnings))
     out.findings = sorted(
         best.values(),
         key=lambda r: (r.finding.kind, r.finding.train_var, r.finding.test_var),

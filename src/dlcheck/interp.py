@@ -68,15 +68,15 @@ class AbstractState:
         env = dict(self.env)
         env[var] = value
         al = self.aligned | {var} if aligned else self.aligned - {var}
-        return replace(self, env=env, aligned=al)
+        return AbstractState(env, self.train_uses, self.test_uses, al)
 
     def record_use(self, kind: str, args, site) -> "AbstractState":
         uses = self.train_uses if kind == "train" else self.test_uses
         new = tuple(u for u in ((a, site) for a in args) if u not in uses)
         uses = uses + new
         if kind == "train":
-            return replace(self, train_uses=uses)
-        return replace(self, test_uses=uses)
+            return AbstractState(self.env, uses, self.test_uses, self.aligned)
+        return AbstractState(self.env, self.train_uses, uses, self.aligned)
 
 
 BOT_STATE = AbstractState()

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import ast
 import json
-from dataclasses import dataclass, replace as dataclasses_replace
+from dataclasses import dataclass, field, replace as dataclasses_replace
 from importlib import resources
 
 from .lang import (
@@ -36,6 +36,8 @@ from .lang import (
     Select,
     Statement,
     Use,
+    stmt_sources,
+    stmt_target,
 )
 
 
@@ -123,12 +125,42 @@ class CellIR:
 class Notebook:
     cells: tuple[CellIR, ...]
     warnings: tuple[str, ...] = ()
+    # The engine's successor index, built with the notebook so that no
+    # notebook event pays for it: each variable -> the positions (in
+    # ``cells``) of the cells whose precondition names it, and each cell id
+    # -> the variables running the cell may bind.
+    readers: dict[str, list[int]] = field(
+        init=False, repr=False, compare=False)
+    binds: dict[int, frozenset[str]] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        readers: dict[str, list[int]] = {}
+        for i, c in enumerate(self.cells):
+            for v in c.precondition:
+                readers.setdefault(v, []).append(i)
+        object.__setattr__(self, "readers", readers)
+        object.__setattr__(self, "binds", {
+            c.id: frozenset(_targets(c.statements)).union(b for b, _ in c.exports)
+            for c in self.cells})
 
     def cell(self, cell_id: int) -> CellIR:
         for c in self.cells:
             if c.id == cell_id:
                 return c
         raise KeyError(f"no cell {cell_id}")
+
+
+def _targets(stmts):
+    """The variables the statements assign, at any depth."""
+    for s in stmts:
+        if isinstance(s, Branch):
+            for arm in s.arms:
+                yield from _targets(arm)
+        elif isinstance(s, Loop):
+            yield from _targets(s.body)
+        elif (t := stmt_target(s)) is not None:
+            yield t
 
 
 def cell_precondition(statements) -> frozenset[str]:
@@ -138,7 +170,6 @@ def cell_precondition(statements) -> frozenset[str]:
     defined: set[str] = set()
 
     def walk(stmts):
-        from .lang import stmt_sources, stmt_target
         for s in stmts:
             if isinstance(s, Branch):
                 snapshot = set(defined)
