@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 
 from .domains import (
     BOT_ROWS,
+    AbsDataFrame,
     ColumnAbs,
     RowInterval,
     SourceAbs,
@@ -27,6 +28,7 @@ from .domains import (
     set_constrain,
     set_join,
     set_reduce,
+    source_to_json,
     src_join,
     src_leq,
 )
@@ -180,7 +182,6 @@ def _require(state: AbstractState, var: str, site) -> SourceAbs:
 def transfer(s: Statement, m: AbstractState) -> AbstractState:
     """Abstract effect of one statement."""
     if isinstance(s, Read):
-        from .domains import AbsDataFrame
         value = SourceAbs(frozenset({AbsDataFrame(s.file, TOP_COLS, TOP_ROWS)}), False)
         return m.bind(s.target, value, aligned=True)
 
@@ -350,7 +351,6 @@ class ProgramRun:
     findings: list[Finding]
 
     def state_dump(self) -> list[dict]:
-        from .domains import source_to_json
         return [
             {
                 "statement": stmt_text(s),

@@ -203,6 +203,18 @@ def cell_precondition(statements) -> frozenset[str]:
 _MAX_INLINE_DEPTH = 8
 
 
+def _record_import(node: ast.Import | ast.ImportFrom, mods: dict[str, str],
+                  froms: dict[str, tuple[str, str]]):
+    """Record an import's aliases: module aliases in ``mods``, and each name
+    bound by ``from m import f`` in ``froms`` as ``(m, f)``."""
+    if isinstance(node, ast.Import):
+        for alias in node.names:
+            mods[alias.asname or alias.name.split(".")[0]] = alias.name
+    else:
+        for alias in node.names:
+            froms[alias.asname or alias.name] = (node.module or "", alias.name)
+
+
 class _Translator:
     def __init__(self, kb: KnowledgeBase, defs, cell_id: int, imports=None):
         self.kb = kb
@@ -256,13 +268,21 @@ class _Translator:
         self.df_vars.add(base)
         return base
 
-    def emit(self, s: Statement) -> Statement:
+    def emit(self, s: Statement):
         self.stmts.append(s)
         self.site_idx += 1
-        return s
 
     def site(self) -> str:
         return f"cell {self.cell_id}[{self.site_idx}]"
+
+    def define(self, target: str | None, stmt, *args, **kwargs) -> str:
+        """Emit ``stmt(out, *args, **kwargs)`` binding the frame-valued
+        result to ``target``, or to a fresh temporary when there is none;
+        returns the bound name."""
+        out = target or self.fresh_temp()
+        self.df_vars.add(out)
+        self.emit(stmt(out, *args, site=self.site(), **kwargs))
+        return out
 
     # -- helpers ------------------------------------------------------------
 
@@ -277,9 +297,6 @@ class _Translator:
             return ".".join(reversed(parts))
         return None
 
-    def is_df(self, name: str | None) -> bool:
-        return name is not None and name in self.df_vars
-
     def df_args(self, call: ast.Call) -> list[str]:
         """Renamed names of the call's positional data-frame arguments,
         flattening a single list/tuple literal."""
@@ -289,7 +306,7 @@ class _Translator:
             args = args[0].elts
         for a in args:
             v = self.eval_expr(a, allow_unbound_df=True)
-            if self.is_df(v):
+            if v in self.df_vars:
                 out.append(v)
         return out
 
@@ -389,40 +406,22 @@ class _Translator:
                 return None
             known = self.kb.lookup_entry(["df"], node.attr)[1] == "df"
             recv = self.eval_expr(node.value, allow_unbound_df=known)
-            if self.is_df(recv):
-                out = target or self.fresh_temp()
-                self.df_vars.add(out)
-                self.emit(Apply(out, node.attr, recv, site=self.site()))
-                return out
+            if recv in self.df_vars:
+                return self.define(target, Apply, node.attr, recv)
             return None
 
-        if isinstance(node, ast.BinOp):
-            left = self.eval_expr(node.left, allow_unbound_df=allow_unbound_df)
-            right = self.eval_expr(node.right, allow_unbound_df=allow_unbound_df)
-            dfs = [v for v in (left, right) if self.is_df(v)]
+        if isinstance(node, (ast.BinOp, ast.IfExp)):
+            # Two frame operands concatenate; one passes through an opaque
+            # per-row transform.
+            binop = isinstance(node, ast.BinOp)
+            parts = (node.left, node.right) if binop else (node.body, node.orelse)
+            vals = [self.eval_expr(p, allow_unbound_df=allow_unbound_df)
+                    for p in parts]
+            dfs = [v for v in vals if v in self.df_vars]
             if not dfs:
                 return None
-            out = target or self.fresh_temp()
-            self.df_vars.add(out)
-            if len(dfs) == 2:
-                self.emit(Merge(out, "concat", dfs[0], dfs[1], site=self.site()))
-            else:
-                self.emit(Apply(out, "arith", dfs[0], site=self.site()))
-            return out
-
-        if isinstance(node, (ast.IfExp,)):
-            a = self.eval_expr(node.body, allow_unbound_df=allow_unbound_df)
-            b = self.eval_expr(node.orelse, allow_unbound_df=allow_unbound_df)
-            dfs = [v for v in (a, b) if self.is_df(v)]
-            if not dfs:
-                return None
-            out = target or self.fresh_temp()
-            self.df_vars.add(out)
-            if len(dfs) == 2:
-                self.emit(Merge(out, "concat", dfs[0], dfs[1], site=self.site()))
-            else:
-                self.emit(Apply(out, "pick", dfs[0], site=self.site()))
-            return out
+            return self.chain(dfs, target, "arith" if binop else "pick",
+                              merge_last=True)
 
         return None
 
@@ -433,20 +432,14 @@ class _Translator:
             accessor = base.attr
             base = base.value
         recv = self.eval_expr(base, allow_unbound_df=True)
-        if not self.is_df(recv):
+        if recv not in self.df_vars:
             return None
         if self.kb.lookup(["df"], accessor) != "select":
-            out = target or self.fresh_temp()
-            self.df_vars.add(out)
-            self.emit(Apply(out, accessor, recv, site=self.site()))
-            return out
+            return self.define(target, Apply, accessor, recv)
         rows, cols, ok = self.subscript_selector(node.slice, accessor)
         if not ok:
             self.warn(f"opaque subscript on {recv!r}; keeping all rows")
-        out = target or self.fresh_temp()
-        self.df_vars.add(out)
-        self.emit(Select(out, recv, rows=rows, cols=cols, site=self.site()))
-        return out
+        return self.define(target, Select, recv, rows=rows, cols=cols)
 
     def eval_call(self, node: ast.Call, target=None) -> str | None:
         func = node.func
@@ -481,7 +474,7 @@ class _Translator:
         recv_df = None
         if recv_node is not None:
             recv = self.eval_expr(recv_node, allow_unbound_df=(matched_ns == "df"))
-            if self.is_df(recv):
+            if recv in self.df_vars:
                 recv_df = recv
 
         if cls == "source":
@@ -492,10 +485,7 @@ class _Translator:
             if file is None:
                 file = f"<{fn}:cell{self.cell_id}:{self.site_idx}>"
                 self.warn(f"non-constant file name in {fn}; using {file}")
-            out = target or self.fresh_temp()
-            self.df_vars.add(out)
-            self.emit(Read(out, file, site=self.site()))
-            return out
+            return self.define(target, Read, file)
 
         if cls == "select":
             # drop() and other row/column complements: the removed part is
@@ -504,10 +494,7 @@ class _Translator:
                 iter(self.df_args(node)), None)
             if src is None:
                 return None
-            out = target or self.fresh_temp()
-            self.df_vars.add(out)
-            self.emit(Select(out, src, rows=None, cols=None, site=self.site()))
-            return out
+            return self.define(target, Select, src, rows=None, cols=None)
 
         if cls == "split":
             # Only meaningful under a tuple assignment; handled there.
@@ -541,17 +528,10 @@ class _Translator:
         last = operands[-1] if merge_last and len(operands) > 1 else None
         src = operands[0]
         for nxt in operands[1:-1] if last is not None else operands[1:]:
-            t = self.fresh_temp()
-            self.df_vars.add(t)
-            self.emit(Merge(t, op, src, nxt, site=self.site()))
-            src = t
-        out = target or self.fresh_temp()
-        self.df_vars.add(out)
+            src = self.define(None, Merge, op, src, nxt)
         if last is None:
-            self.emit(Apply(out, fn, src, site=self.site()))
-        else:
-            self.emit(Merge(out, op, src, last, site=self.site()))
-        return out
+            return self.define(target, Apply, fn, src)
+        return self.define(target, Merge, op, src, last)
 
     def inline_call(self, name: str, node: ast.Call, target=None) -> str | None:
         if name in self.inline_stack or len(self.inline_stack) >= _MAX_INLINE_DEPTH:
@@ -582,14 +562,7 @@ class _Translator:
 
     def translate_stmt(self, node):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    self.mod_aliases[alias.asname or alias.name.split(".")[0]] = \
-                        alias.name
-            else:
-                mod = node.module or ""
-                for alias in node.names:
-                    self.from_imports[alias.asname or alias.name] = (mod, alias.name)
+            _record_import(node, self.mod_aliases, self.from_imports)
             return
 
         if isinstance(node, ast.FunctionDef):
@@ -619,15 +592,12 @@ class _Translator:
 
     def translate_assign(self, node):
         if isinstance(node, ast.AugAssign):
-            targets = [node.target]
-            value = ast.BinOp(left=ast.Name(id=node.target.id, ctx=ast.Load()),
-                              op=node.op, right=node.value) \
-                if isinstance(node.target, ast.Name) else None
-            if value is None:
+            if not isinstance(node.target, ast.Name):
                 self.warn("non-dataframe statement dropped")
                 return
-            ast.copy_location(value, node)
-            ast.fix_missing_locations(value)
+            targets = [node.target]
+            value = ast.BinOp(left=ast.Name(id=node.target.id, ctx=ast.Load()),
+                              op=node.op, right=node.value)
         elif isinstance(node, ast.AnnAssign):
             targets = [node.target]
             value = node.value
@@ -638,9 +608,8 @@ class _Translator:
             value = node.value
 
         if len(targets) == 1 and isinstance(targets[0], ast.Tuple):
-            if self.translate_split(targets[0], value):
-                return
-            self.warn("unsupported tuple assignment dropped")
+            if not self.translate_split(targets[0], value):
+                self.warn("unsupported tuple assignment dropped")
             return
 
         if len(targets) != 1 or not isinstance(targets[0], ast.Name):
@@ -651,7 +620,7 @@ class _Translator:
         if isinstance(value, ast.Name):
             # Pure alias: point the user name at the existing binding.
             v = self.eval_expr(value, allow_unbound_df=True)
-            if self.is_df(v):
+            if v in self.df_vars:
                 self.cur[base] = v
             else:
                 self.cur[base] = self.assign_name(base)
@@ -703,41 +672,36 @@ class _Translator:
         dfs = self.df_args(value)
         if not dfs or len(names) != 2 * len(dfs):
             self.warn(f"{fn} arity not understood; targets treated as opaque")
-            for n in names:
-                if dfs:
-                    nm = self.assign_name(n)
-                    self.df_vars.add(nm)
-                    self.emit(Apply(nm, "unknown", dfs[0], site=self.site()))
+            if dfs:
+                for n in names:
+                    self.define(self.assign_name(n), Apply, "unknown", dfs[0])
             return True
         split = self.fresh_symbol()
         for i, src in enumerate(dfs):
-            tr = self.assign_name(names[2 * i])
-            self.df_vars.add(tr)
-            self.emit(Select(tr, src,
-                             rows=RowRange(RowExpr.const(0), RowExpr.symbol(split)),
-                             site=self.site()))
-            te = self.assign_name(names[2 * i + 1])
-            self.df_vars.add(te)
-            self.emit(Select(te, src,
-                             rows=RowRange(RowExpr.symbol(split, 1), INF),
-                             site=self.site()))
+            self.define(self.assign_name(names[2 * i]), Select, src,
+                        rows=RowRange(RowExpr.const(0), RowExpr.symbol(split)))
+            self.define(self.assign_name(names[2 * i + 1]), Select, src,
+                        rows=RowRange(RowExpr.symbol(split, 1), INF))
         return True
+
+    def translate_body(self, body) -> tuple[Statement, ...]:
+        """The statements ``body`` translates to, kept out of the current
+        statement list."""
+        outer, self.stmts = self.stmts, []
+        for stmt in body:
+            self.translate_stmt(stmt)
+        inner, self.stmts = self.stmts, outer
+        return tuple(inner)
 
     def translate_if(self, node: ast.If):
         snapshot = dict(self.cur)
-        outer = self.stmts
 
         def run_arm(body):
-            self.stmts = []
             self.cur = dict(snapshot)
-            for stmt in body:
-                self.translate_stmt(stmt)
-            arm, env = self.stmts, self.cur
-            return tuple(arm), env
+            return self.translate_body(body), self.cur
 
         arm_a, env_a = run_arm(node.body)
         arm_b, env_b = run_arm(node.orelse)
-        self.stmts = outer
         self.cur = dict(snapshot)
         self.emit(Branch((arm_a, arm_b), site=self.site()))
         changed = {b for b in set(env_a) | set(env_b)
@@ -753,19 +717,12 @@ class _Translator:
                     self.cur[base] = versions[0]
                 continue
             versions = [v for v in versions if v in self.df_vars]
-            merged = self.assign_name(base)
-            self.df_vars.add(merged)
-            self.emit(Phi(merged, tuple(versions), site=self.site()))
+            self.define(self.assign_name(base), Phi, tuple(versions))
 
     def translate_loop(self, node):
-        outer = self.stmts
-        self.stmts = []
         self.loop_depth += 1
-        for stmt in node.body:
-            self.translate_stmt(stmt)
+        body = self.translate_body(node.body)
         self.loop_depth -= 1
-        body = tuple(self.stmts)
-        self.stmts = outer
         if body:
             self.emit(Loop(body, site=self.site()))
 
@@ -775,9 +732,7 @@ class _Translator:
         if isinstance(tree, SyntaxError):
             return CellIR(self.cell_id, source, (), frozenset(),
                           (), (f"syntax error: {tree.msg} (line {tree.lineno})",))
-        for stmt in tree.body:
-            self.translate_stmt(stmt)
-        statements = tuple(self.stmts)
+        statements = self.translate_body(tree.body)
         exports = tuple(
             (base, name) for base, name in self.cur.items()
             if name in self.df_vars and not base.startswith("_t")
@@ -821,13 +776,20 @@ def _code_cells(data: bytes) -> list[str]:
         raise NotebookError("not a notebook document")
     if doc.get("nbformat") != 4:
         raise NotebookError(f"unsupported nbformat version {doc.get('nbformat')!r}")
+    if not isinstance(doc["cells"], list):
+        raise NotebookError("'cells' is not a list")
     out = []
-    for cell in doc["cells"]:
+    for i, cell in enumerate(doc["cells"]):
+        if not isinstance(cell, dict):
+            raise NotebookError(f"cells[{i}] is not an object")
         if cell.get("cell_type") != "code":
             continue
         src = cell.get("source", "")
-        if isinstance(src, list):
+        if isinstance(src, list) and all(isinstance(line, str) for line in src):
             src = "".join(src)
+        if not isinstance(src, str):
+            raise NotebookError(
+                f"cells[{i}]: source is neither a string nor a list of strings")
         out.append(src)
     return out
 
@@ -850,13 +812,8 @@ def load_notebook(data: bytes, kb: KnowledgeBase | None = None) -> Notebook:
             for node in ast.walk(tree):
                 if isinstance(node, ast.FunctionDef):
                     defs[node.name] = node
-                elif isinstance(node, ast.Import):
-                    for alias in node.names:
-                        mods[alias.asname or alias.name.split(".")[0]] = alias.name
-                elif isinstance(node, ast.ImportFrom):
-                    for alias in node.names:
-                        froms[alias.asname or alias.name] = (node.module or "",
-                                                             alias.name)
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    _record_import(node, mods, froms)
         cells.append(translate_cell(src, kb, defs=defs, cell_id=i,
                                     imports=imports, tree=tree))
     return Notebook(tuple(cells))

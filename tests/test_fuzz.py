@@ -1,5 +1,10 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import dlcheck
 from dlcheck.fuzz import (
     broken_normalize_transfer,
     check_program,
@@ -25,6 +30,23 @@ def test_generator_deterministic_per_seed():
     a = [generate_program(random.Random(7))[0] for _ in range(5)]
     b = [generate_program(random.Random(7))[0] for _ in range(5)]
     assert a == b
+
+
+def test_generator_replays_across_string_hash_seeds():
+    script = ("import random\n"
+              "from dlcheck.fuzz import generate_program\n"
+              "from dlcheck.lang import program_text\n"
+              "for s in range(50):\n"
+              "    print(program_text(generate_program(random.Random(s))[0]))\n")
+    src = str(Path(dlcheck.__file__).resolve().parents[1])
+    texts = [
+        subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONHASHSEED": hash_seed,
+                             "PYTHONPATH": src}).stdout
+        for hash_seed in ("1", "3")
+    ]
+    assert texts[0] and texts[0] == texts[1]
 
 
 def test_fuzz_small_budget_clean():

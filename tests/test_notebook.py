@@ -1,5 +1,6 @@
 import ast
 import json
+import re
 
 import pytest
 
@@ -10,6 +11,7 @@ from dlcheck.lang import (
     INF,
     Loop,
     Merge,
+    Phi,
     Read,
     RowExpr,
     RowRange,
@@ -180,6 +182,55 @@ def test_ssa_versions_prime_naming():
     assert dict(cell.exports)["x"] == "x''"
 
 
+# Cells that first read two frames, so that the expression forms below see
+# frames bound in the same cell.
+READS = 'import pandas as pd\na = pd.read_csv("a.csv")\nb = pd.read_csv("b.csv")\n'
+
+
+@pytest.mark.parametrize("line, expected", [
+    ("c = a + b", Merge("c", "concat", "a", "b")),
+    ("c = a * 2", Apply("c", "arith", "a")),
+    ("c = a if q else b", Merge("c", "concat", "a", "b")),
+    ("c = a if q else 0", Apply("c", "pick", "a")),
+    ("c = a.values", Apply("c", "values", "a")),
+    ("a.values", Apply("_t2", "values", "a")),
+    ("a += b", Merge("a'", "concat", "a", "b")),
+])
+def test_expression_forms_lower_to_one_statement(line, expected):
+    cell = translate_cell(READS + line)
+    assert cell.statements == (Read("a", "a.csv"), Read("b", "b.csv"), expected)
+    assert cell.statements[-1].site == "cell 1[2]"
+    assert cell.warnings == ()
+
+
+def test_concat_of_three_merges_through_a_temporary():
+    cell = translate_cell(READS + 'c = pd.read_csv("c.csv")\nd = pd.concat([a, b, c])')
+    assert cell.statements[3:] == (Merge("_t4", "concat", "a", "b"),
+                                   Merge("d", "concat", "_t4", "c"))
+    assert [s.site for s in cell.statements[3:]] == ["cell 1[3]", "cell 1[4]"]
+    assert dict(cell.exports)["d"] == "d"
+
+
+def test_split_arity_mismatch_is_opaque_per_target():
+    cell = translate_cell(READS + "p, q, r = train_test_split(a, b)")
+    assert cell.statements[2:] == tuple(Apply(t, "unknown", "a") for t in "pqr")
+    assert [s.site for s in cell.statements[2:]] == \
+        ["cell 1[2]", "cell 1[3]", "cell 1[4]"]
+    assert cell.warnings == (
+        "train_test_split arity not understood; targets treated as opaque",)
+
+
+def test_if_ends_in_phi_of_the_arms():
+    cell = translate_cell(
+        READS + "if z:\n    a = a.dropna()\nelse:\n    a = a.fillna(0)")
+    assert cell.statements[2:] == (
+        Branch(((Apply("a'", "dropna", "a"),), (Apply("a''", "fillna", "a"),))),
+        Phi("a'''", ("a'", "a''")),
+    )
+    assert [s.site for s in cell.statements[2:]] == ["cell 1[4]", "cell 1[5]"]
+    assert dict(cell.exports)["a"] == "a'''"
+
+
 def test_cell_precondition_define_then_use():
     cell = translate_cell("x = pd.read_csv('f.csv')\ny = x.dropna()")
     assert cell.precondition == frozenset()
@@ -205,6 +256,20 @@ def test_load_notebook_without_code_cells():
 def test_load_rejects_malformed_json():
     with pytest.raises(NotebookError):
         load_notebook(b"{not json")
+
+
+@pytest.mark.parametrize("cells, where", [
+    ({"cell_type": "code", "source": "x = 1"}, "'cells' is not a list"),
+    (["x = 1"], "cells[0] is not an object"),
+    ([{"cell_type": "markdown", "source": "# t"},
+      {"cell_type": "code", "source": 5}], "cells[1]: source"),
+    ([{"cell_type": "code", "source": ["x = 1\n", None]}], "cells[0]: source"),
+], ids=["cells-not-a-list", "cell-not-an-object", "source-not-text",
+        "source-list-not-text"])
+def test_load_rejects_malformed_cells(cells, where):
+    data = json.dumps({"nbformat": 4, "cells": cells}).encode()
+    with pytest.raises(NotebookError, match=re.escape(where)):
+        load_notebook(data)
 
 
 def test_load_rejects_old_nbformat():

@@ -159,6 +159,24 @@ def test_corpus_missing_notebook_warns(tmp_path):
     assert summary.warnings and "missing notebook" in summary.warnings[0]
 
 
+def test_corpus_scores_the_rest_past_a_malformed_notebook(tmp_path):
+    (tmp_path / "bad.ipynb").write_text(json.dumps(
+        {"nbformat": 4, "cells": [{"cell_type": "code", "source": 5}]}))
+    (tmp_path / "good.ipynb").write_bytes(notebook_bytes([
+        "import pandas as pd\ndf = pd.read_csv('d.csv')",
+        "tr = df.iloc[:10]\nte = df.iloc[5:]\nm.fit(tr)\nm.predict(te)",
+    ]))
+    labels = tmp_path / "labels.json"
+    labels.write_text(json.dumps([
+        {"notebook": "bad.ipynb", "expected": []},
+        {"notebook": "good.ipynb",
+         "expected": [{"kind": "overlap", "train_var": "tr", "test_var": "te"}]},
+    ]))
+    bad, good = score_corpus(tmp_path, labels).rows
+    assert bad.notebook == "bad.ipynb" and "cells[0]: source" in bad.error
+    assert good.error is None and good.tp == 1
+
+
 def test_cli_corpus(tmp_path, capsys):
     build_corpus(tmp_path)
     assert main(["corpus", str(tmp_path), "--format", "json"]) == 0
