@@ -334,34 +334,25 @@ def ordered_frames(frames) -> tuple[AbsDataFrame, ...]:
     return tuple(sorted(frames, key=_frame_key))
 
 
-def set_reduce(frames, mode: str = "join") -> frozenset[AbsDataFrame]:
-    """Merge overlapping frames (by join or meet) until the set is canonical.
+def set_reduce(frames) -> frozenset[AbsDataFrame]:
+    """Join overlapping frames until the set is canonical.
 
-    Iterates to a fixpoint: a single merge pass can itself create new
-    overlaps.  Terminates because every merge shrinks the set.
+    Inserts the frames one at a time in ``ordered_frames`` order.  A frame
+    that overlaps a kept one absorbs it, and the scan starts over: the join
+    may overlap kept frames that neither operand did.  Terminates because
+    every join removes a kept frame.
     """
-    if mode not in ("join", "meet"):
-        raise ValueError(f"unknown reduce mode {mode!r}")
-    work = list(ordered_frames(frames))
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(work)):
-            for j in range(i + 1, len(work)):
-                if df_overlap(work[i], work[j]):
-                    if mode == "join":
-                        merged = df_join(work[i], work[j])
-                    else:
-                        merged = df_meet(work[i], work[j])
-                    del work[j], work[i]
-                    if merged is not None:
-                        work.append(merged)
-                    work = list(ordered_frames(work))
-                    changed = True
-                    break
-            if changed:
-                break
-    return frozenset(work)
+    kept: list[AbsDataFrame] = []
+    for f in ordered_frames(frames):
+        i = 0
+        while i < len(kept):
+            if df_overlap(kept[i], f):
+                f = df_join(kept.pop(i), f)
+                i = 0
+            else:
+                i += 1
+        kept.append(f)
+    return frozenset(kept)
 
 
 def is_canonical(frames) -> bool:
@@ -378,32 +369,16 @@ def set_leq(a, b) -> bool:
 
 
 def set_join(a, b) -> frozenset[AbsDataFrame]:
-    return set_reduce(set(a) | set(b), "join")
-
-
-def set_meet(a, b) -> frozenset[AbsDataFrame]:
-    """Meet over same-file overlapping cross pairs.
-
-    Literal set intersection would drop syntactically different triples that
-    share cells, so the meet pairs up overlapping frames instead.
-    """
-    out = []
-    for x in ordered_frames(a):
-        for y in ordered_frames(b):
-            if df_overlap(x, y):
-                m = df_meet(x, y)
-                if m is not None:
-                    out.append(m)
-    return set_reduce(out, "meet")
+    return set_reduce(set(a) | set(b))
 
 
 def set_constrain(frames, c: ColumnAbs, ij: RowInterval) -> frozenset[AbsDataFrame]:
     out = []
-    for f in ordered_frames(frames):
+    for f in frames:
         g = df_constrain(f, c, ij)
         if g is not None:
             out.append(g)
-    return set_reduce(out, "join")
+    return set_reduce(out)
 
 
 # ---------------------------------------------------------------------------
@@ -430,10 +405,6 @@ def src_leq(a: SourceAbs, b: SourceAbs) -> bool:
 
 def src_join(a: SourceAbs, b: SourceAbs) -> SourceAbs:
     return SourceAbs(set_join(a.frames, b.frames), a.tainted or b.tainted)
-
-
-def src_meet(a: SourceAbs, b: SourceAbs) -> SourceAbs:
-    return SourceAbs(set_meet(a.frames, b.frames), a.tainted and b.tainted)
 
 
 def source_covers(a: SourceAbs, file: str, row: int) -> bool:

@@ -128,7 +128,7 @@ def _widen_value(v: SourceAbs) -> SourceAbs:
         replace(f, rows=RowInterval(f.rows.lo, INF))
         for f in v.frames
     ]
-    return SourceAbs(set_reduce(frames, "join"), v.tainted)
+    return SourceAbs(set_reduce(frames), v.tainted)
 
 
 def widen_state(prev: AbstractState, nxt: AbstractState) -> AbstractState:

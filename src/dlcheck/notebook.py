@@ -74,11 +74,20 @@ class KnowledgeBase:
             with open(path, encoding="utf-8") as fh:
                 raw = fh.read()
         data = json.loads(raw)
+        if not isinstance(data, dict) or not isinstance(data.get("entries"), list):
+            raise NotebookError("knowledge base: 'entries' is missing or not a list")
         entries = {}
-        for e in data["entries"]:
+        for i, e in enumerate(data["entries"]):
+            if not isinstance(e, dict):
+                raise NotebookError(f"knowledge base entries[{i}] is not an object")
+            for key in ("namespace", "function", "class"):
+                if not isinstance(e.get(key), str):
+                    raise NotebookError(f"knowledge base entries[{i}]: "
+                                        f"{key!r} is missing or not a string")
             cls = e["class"]
             if cls not in KB_CLASSES:
-                raise NotebookError(f"unknown knowledge-base class {cls!r}")
+                raise NotebookError(f"knowledge base entries[{i}]: "
+                                    f"unknown class {cls!r}")
             entries[(e["namespace"], e["function"])] = cls
         return KnowledgeBase(entries)
 

@@ -196,6 +196,28 @@ class CorpusSummary:
         }, indent=2)
 
 
+def _check_labels(labels) -> None:
+    """Raise ValueError naming the first entry or field of a labels document
+    that is not a list of {notebook, expected: [{kind, train_var, test_var}]}
+    objects."""
+    if not isinstance(labels, list):
+        raise ValueError("labels: not a list of entries")
+    for i, entry in enumerate(labels):
+        if not isinstance(entry, dict):
+            raise ValueError(f"labels[{i}] is not an object")
+        if not isinstance(entry.get("notebook"), str):
+            raise ValueError(f"labels[{i}]: 'notebook' is missing or not a string")
+        if not isinstance(entry.get("expected"), list):
+            raise ValueError(f"labels[{i}]: 'expected' is missing or not a list")
+        for j, e in enumerate(entry["expected"]):
+            where = f"labels[{i}].expected[{j}]"
+            if not isinstance(e, dict):
+                raise ValueError(f"{where} is not an object")
+            for key in ("kind", "train_var", "test_var"):
+                if not isinstance(e.get(key), str):
+                    raise ValueError(f"{where}: {key!r} is missing or not a string")
+
+
 def score_corpus(directory, labels_path, cfg: PropagationConfig | None = None,
                  kb: KnowledgeBase | None = None) -> CorpusSummary:
     """Analyze every labeled notebook and tally reported findings against
@@ -203,6 +225,7 @@ def score_corpus(directory, labels_path, cfg: PropagationConfig | None = None,
     directory = Path(directory)
     with open(labels_path, encoding="utf-8") as fh:
         labels = json.load(fh)
+    _check_labels(labels)
     kb = kb or default_kb()
     summary = CorpusSummary()
 

@@ -196,8 +196,7 @@ def test_criterion_3_domain_goldens():
 
     reduced = set_reduce({
         frame("file1", {"id"}, 1, 10), frame("file1", {"id"}, 9, 12),
-        frame("file2", {"name"}, 0, 100), frame("file3", {"zip"}, 0, 100)},
-        "join")
+        frame("file2", {"name"}, 0, 100), frame("file3", {"zip"}, 0, 100)})
     ok = ok and reduced == frozenset({
         frame("file1", {"id"}, 1, 12), frame("file2", {"name"}, 0, 100),
         frame("file3", {"zip"}, 0, 100)})
@@ -282,7 +281,7 @@ def _random_frame(rng):
 
 
 def _random_set(rng):
-    return set_reduce([_random_frame(rng) for _ in range(rng.randint(0, 3))], "join")
+    return set_reduce([_random_frame(rng) for _ in range(rng.randint(0, 3))])
 
 
 def _random_source(rng):

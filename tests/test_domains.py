@@ -1,9 +1,13 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dlcheck import domains
 from dlcheck.domains import (
     BOT_ROWS,
     BOT_SOURCE,
+    AbsDataFrame,
     ColumnAbs,
     EnumerationError,
     SourceAbs,
@@ -21,6 +25,7 @@ from dlcheck.domains import (
     gamma_rows,
     gamma_source,
     is_canonical,
+    ordered_frames,
     row_contains,
     row_index,
     row_join,
@@ -31,14 +36,12 @@ from dlcheck.domains import (
     set_constrain,
     set_join,
     set_leq,
-    set_meet,
     set_reduce,
     source_covers,
     src_join,
     src_leq,
-    src_meet,
 )
-from dlcheck.lang import RowExpr
+from dlcheck.lang import INF, RowExpr, expr_le
 
 
 # -- columns -------------------------------------------------------------------
@@ -163,7 +166,7 @@ def test_constrain_symbolic():
 def test_reduce_golden():
     s = {frame("file1", {"id"}, 1, 10), frame("file1", {"id"}, 9, 12),
          frame("file2", {"name"}, 0, 100), frame("file3", {"zip"}, 0, 100)}
-    assert set_reduce(s, "join") == frozenset({
+    assert set_reduce(s) == frozenset({
         frame("file1", {"id"}, 1, 12),
         frame("file2", {"name"}, 0, 100),
         frame("file3", {"zip"}, 0, 100),
@@ -172,12 +175,85 @@ def test_reduce_golden():
 
 def test_reduce_fixpoint_on_canonical_set():
     s = frozenset({frame("a", None, 0, 3), frame("a", None, 5, 9)})
-    assert set_reduce(s, "join") == s
+    assert set_reduce(s) == s
 
 
 def test_reduce_chained_overlaps_collapse():
     s = {frame("f", None, 0, 2), frame("f", None, 2, 4), frame("f", None, 4, 8)}
-    assert set_reduce(s, "join") == frozenset({frame("f", None, 0, 8)})
+    assert set_reduce(s) == frozenset({frame("f", None, 0, 8)})
+
+
+def reference_set_reduce(frames):
+    """The restart loop ``set_reduce`` replaced: after every join, re-sort
+    and rescan every pair from the start."""
+    work = list(ordered_frames(frames))
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(work)):
+            for j in range(i + 1, len(work)):
+                if df_overlap(work[i], work[j]):
+                    merged = df_join(work[i], work[j])
+                    del work[j], work[i]
+                    work.append(merged)
+                    work = list(ordered_frames(work))
+                    changed = True
+                    break
+            if changed:
+                break
+    return frozenset(work)
+
+
+def _random_bound(rng, p_symbolic):
+    if rng.random() < p_symbolic:
+        return RowExpr.symbol(rng.choice("st"), rng.randrange(7))
+    return RowExpr.const(rng.randrange(12))
+
+
+def _random_reduce_input(rng, p_symbolic):
+    out = []
+    for _ in range(rng.randint(0, 8)):
+        lo, hi = _random_bound(rng, p_symbolic), _random_bound(rng, p_symbolic)
+        if rng.random() < 0.15:
+            hi = INF
+        if expr_le(lo, hi) is False:
+            lo, hi = hi, lo
+        cols = TOP_COLS if rng.random() < 0.3 else \
+            ColumnAbs(frozenset(rng.sample(["a", "b", "c"], rng.randint(1, 3))))
+        out.append(AbsDataFrame(rng.choice("fg"), cols, rows(lo, hi)))
+    return out
+
+
+def test_set_reduce_matches_restart_loop():
+    """Same result as the restart loop on seeded random sets with constant,
+    mixed and all-symbolic bounds, and each result is a canonical upper
+    bound of its input."""
+    rng = random.Random(5)
+    for n in range(12000):
+        frames = _random_reduce_input(rng, (0.0, 0.5, 1.0)[n % 3])
+        got = set_reduce(frames)
+        assert got == reference_set_reduce(frames), [str(f) for f in frames]
+        assert is_canonical(got)
+        assert set_leq(frames, got)
+
+
+def test_set_reduce_overlap_tests_stay_quadratic(monkeypatch):
+    """100 disjoint frames and a 20-frame adjacent chain that sorts last:
+    each join rescans the kept frames once, not every pair of the set."""
+    disjoint = [frame("f", None, lo, lo + 1) for lo in range(100, 400, 3)]
+    chain = [frame("f", None, lo, lo + 2) for lo in range(900, 940, 2)]
+    calls = 0
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        return df_overlap(a, b)
+
+    monkeypatch.setattr(domains, "df_overlap", counting)
+    got = set_reduce(disjoint + chain)
+    assert got == frozenset(disjoint) | {frame("f", None, 900, 940)}
+    n, joins = len(disjoint) + len(chain), len(chain) - 1
+    assert calls <= n * (n - 1) // 2 + joins * n
 
 
 def test_set_join_of_published_inputs():
@@ -194,12 +270,6 @@ def test_set_join_neutral_element():
     s = frozenset({frame("f", {"a"}, 0, 5)})
     assert set_join(s, frozenset()) == s
     assert set_leq(s, set_join(s, frozenset({frame("g", None, 0, 1)})))
-
-
-def test_set_meet_pairs_overlapping_frames():
-    a = frozenset({frame("f", {"id"}, 0, 5)})
-    b = frozenset({frame("f", {"id"}, 3, 9)})
-    assert set_meet(a, b) == frozenset({frame("f", {"id"}, 3, 5)})
 
 
 def test_set_constrain_drops_empties():
@@ -221,7 +291,6 @@ def test_src_join_taint_or():
 def test_src_leq_bottom():
     x = SourceAbs(frozenset({frame("f", None, 0, 9)}), True)
     assert src_leq(BOT_SOURCE, x)
-    assert src_meet(x, x) == x
 
 
 def test_gamma_source():
@@ -262,7 +331,6 @@ def _intervals(draw):
     if draw(st.booleans()):
         hi = RowExpr(inf=True)
     else:
-        from dlcheck.lang import expr_le
         hi = draw(_exprs)
         if expr_le(lo, hi) is False:
             lo, hi = hi, lo
@@ -286,7 +354,7 @@ def _frames(draw):
 
 
 _frame_sets = st.lists(_frames(), max_size=4).map(
-    lambda fs: set_reduce([f for f in fs if f is not None], "join"))
+    lambda fs: set_reduce([f for f in fs if f is not None]))
 _sources = st.tuples(_frame_sets, st.booleans()).map(lambda p: SourceAbs(*p))
 
 

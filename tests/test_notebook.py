@@ -401,3 +401,24 @@ def test_kb_rejects_unknown_class(tmp_path):
     ]}))
     with pytest.raises(NotebookError):
         KnowledgeBase.load(path)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({}, "'entries' is missing or not a list"),
+    ({"entries": 5}, "'entries' is missing or not a list"),
+    ([], "'entries' is missing or not a list"),
+    ({"entries": [5]}, "entries[0] is not an object"),
+    ({"entries": [{"namespace": "*", "function": "f", "class": "source"},
+                  {"namespace": "pandas", "function": "read_csv"}]},
+     "entries[1]: 'class' is missing or not a string"),
+    ({"entries": [{"namespace": "*", "function": 3, "class": "source"}]},
+     "entries[0]: 'function' is missing or not a string"),
+    ({"entries": [{"namespace": "*", "function": "f", "class": "bogus"}]},
+     "entries[0]: unknown class 'bogus'"),
+])
+def test_kb_rejects_malformed_entries(tmp_path, doc, message):
+    path = tmp_path / "kb.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(NotebookError) as e:
+        KnowledgeBase.load(path)
+    assert message in str(e.value)

@@ -177,6 +177,29 @@ def test_corpus_scores_the_rest_past_a_malformed_notebook(tmp_path):
     assert good.error is None and good.tp == 1
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({}, "labels: not a list of entries"),
+    ([5], "labels[0] is not an object"),
+    ([{"expected": []}], "labels[0]: 'notebook' is missing"),
+    ([{"notebook": "a.ipynb", "expected": []}, {"notebook": "b.ipynb"}],
+     "labels[1]: 'expected' is missing"),
+    ([{"notebook": "a.ipynb", "expected": {}}], "labels[0]: 'expected' is missing"),
+    ([{"notebook": "a.ipynb", "expected": ["x"]}],
+     "labels[0].expected[0] is not an object"),
+    ([{"notebook": "a.ipynb",
+       "expected": [{"kind": "overlap", "test_var": "te"}]}],
+     "labels[0].expected[0]: 'train_var' is missing"),
+])
+def test_corpus_rejects_malformed_label_entries(tmp_path, capsys, doc, message):
+    labels = tmp_path / "labels.json"
+    labels.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as e:
+        score_corpus(tmp_path, labels)
+    assert message in str(e.value)
+    assert main(["corpus", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_cli_corpus(tmp_path, capsys):
     build_corpus(tmp_path)
     assert main(["corpus", str(tmp_path), "--format", "json"]) == 0
