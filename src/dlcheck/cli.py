@@ -103,7 +103,12 @@ def cmd_oracle(args) -> int:
 
 def cmd_bench(args) -> int:
     from .report import bench_notebook
-    if args.synthetic:
+    for option, value in (("--runs", args.runs), ("--synthetic", args.synthetic)):
+        if value is not None and value < 1:
+            print(f"bench: {option} must be at least 1, got {value}",
+                  file=sys.stderr)
+            return 2
+    if args.synthetic is not None:
         from .corpus import synthetic_notebook
         data = synthetic_notebook(args.synthetic, seed=args.seed)
     else:

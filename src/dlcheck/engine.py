@@ -8,14 +8,26 @@ subsumed: it re-enters a cell with a state already covered there on the
 same branch, or reaches a state that an earlier branch has already
 expanded at the same or a shallower depth.
 
-Successors come from the notebook's index (variable -> cells whose
-precondition names it) and are cached per set of live variables; a node
-tests only the cells whose precondition names a variable that became live
-or dead since its parent state.  The expansion memo is what keeps the search from
-re-expanding a state that commuting cells reach in several orders; it only
-keeps expansions that did not depend on the branch they were made on (see
-``propagate``), so the findings and their witness traces are the ones a
-full search reports.
+Only relevant cells are searched (``Notebook.relevant``).  A cell is
+relevant if it holds a train/test use at any depth, or if it writes a
+variable whose incoming binding a relevant cell may read: a precondition
+variable, a variable the cell assigns in a branch arm or loop body (the
+incoming binding is joined in), or a use's argument (a later use's leak
+check looks it up again).  A cell writes its assigned variables and every
+export whose final name differs from its base.  A cell that is not
+relevant writes nothing a relevant cell reads, so dropping it from a path
+leaves every relevant cell's input, gate and findings as they were, and
+the path only gets shorter: no finding or shortest witness is lost.  Start
+cells are not sliced; an irrelevant start has no valid successor.
+
+Successors come from the notebook's index (variable -> relevant cells
+whose precondition names it) and are cached per set of live variables; a
+node tests only the cells whose precondition names a variable that became
+live or dead since its parent state.  The expansion memo is what keeps the
+search from re-expanding a state that commuting cells reach in several
+orders; it only keeps expansions that did not depend on the branch they
+were made on (see ``propagate``), so the findings and their witness
+traces are the ones a full search reports.
 """
 
 from __future__ import annotations
@@ -71,8 +83,8 @@ def phi(m: AbstractState, pre) -> bool:
 
 def successors(nb: Notebook, state: AbstractState, live: frozenset[str],
                cache: dict, parent: tuple) -> tuple[int, ...]:
-    """The positions in ``nb.cells`` of the cells ``phi`` admits after
-    ``state``, in notebook order.
+    """The positions in ``nb.cells`` of the relevant cells ``phi`` admits
+    after ``state``, in notebook order.
 
     ``live`` is the set of variables the state binds to at least one frame,
     which is all ``phi`` depends on, so the answer is cached per live set.
@@ -131,7 +143,14 @@ def propagate(nb: Notebook, start: int, cfg: PropagationConfig | None = None,
     """
     cfg = cfg or PropagationConfig()
     warnings = warnings if warnings is not None else []
-    start_cell = nb.cell(start)
+    start_cell = next((c for c in nb.cells if c.id == start), None)
+    if start_cell is None:
+        ids = [c.id for c in nb.cells]
+        if ids and ids == list(range(ids[0], ids[0] + len(ids))):
+            known = f"{ids[0]} to {ids[-1]}"
+        else:
+            known = ", ".join(map(str, ids)) or "none"
+        raise EngineError(f"no cell {start}: the notebook's cell ids are {known}")
     if start_cell.precondition:
         raise EngineError(
             f"cell {start} cannot start an execution: unbound variables "

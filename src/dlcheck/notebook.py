@@ -136,22 +136,44 @@ class Notebook:
     warnings: tuple[str, ...] = ()
     # The engine's successor index, built with the notebook so that no
     # notebook event pays for it: each variable -> the positions (in
-    # ``cells``) of the cells whose precondition names it, and each cell id
-    # -> the variables running the cell may bind.
+    # ``cells``) of the relevant cells whose precondition names it, the
+    # positions of the relevant cells, and each cell id -> the variables
+    # running the cell may bind.
     readers: dict[str, list[int]] = field(
+        init=False, repr=False, compare=False)
+    relevant: frozenset[int] = field(
         init=False, repr=False, compare=False)
     binds: dict[int, frozenset[str]] = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        readers: dict[str, list[int]] = {}
+        binds: dict[int, frozenset[str]] = {}
+        writers: dict[str, list[int]] = {}
+        inputs: list[set[str]] = []
+        work: list[int] = []
         for i, c in enumerate(self.cells):
-            for v in c.precondition:
+            assigned: set[str] = set()
+            inputs.append(set(c.precondition))
+            if _walk(c.statements, False, assigned, inputs[i]):
+                work.append(i)
+            binds[c.id] = frozenset(assigned).union(b for b, _ in c.exports)
+            for v in assigned.union(b for b, f in c.exports if b != f):
+                writers.setdefault(v, []).append(i)
+        # Relevant cells: those holding a use, then, to a fixpoint, every
+        # cell that writes a variable a relevant cell's run may read.
+        relevant: set[int] = set()
+        while work:
+            i = work.pop()
+            if i not in relevant:
+                relevant.add(i)
+                work.extend(j for v in inputs[i] for j in writers.get(v, ()))
+        readers: dict[str, list[int]] = {}
+        for i in sorted(relevant):
+            for v in self.cells[i].precondition:
                 readers.setdefault(v, []).append(i)
         object.__setattr__(self, "readers", readers)
-        object.__setattr__(self, "binds", {
-            c.id: frozenset(_targets(c.statements)).union(b for b, _ in c.exports)
-            for c in self.cells})
+        object.__setattr__(self, "relevant", frozenset(relevant))
+        object.__setattr__(self, "binds", binds)
 
     def cell(self, cell_id: int) -> CellIR:
         for c in self.cells:
@@ -160,16 +182,28 @@ class Notebook:
         raise KeyError(f"no cell {cell_id}")
 
 
-def _targets(stmts):
-    """The variables the statements assign, at any depth."""
+def _walk(stmts, nested: bool, assigned: set[str], inputs: set[str]) -> bool:
+    """Whether the statements hold a train/test use, at any depth.  Adds to
+    ``assigned`` the variables they assign, at any depth, and to ``inputs``
+    those whose incoming binding their run may read besides the
+    precondition: each variable assigned in a branch arm or loop body (the
+    analysis joins the incoming binding in) and each use's argument (a
+    later use's leak check looks it up again)."""
+    has_use = False
     for s in stmts:
         if isinstance(s, Branch):
             for arm in s.arms:
-                yield from _targets(arm)
+                has_use |= _walk(arm, True, assigned, inputs)
         elif isinstance(s, Loop):
-            yield from _targets(s.body)
+            has_use |= _walk(s.body, True, assigned, inputs)
+        elif isinstance(s, Use):
+            inputs.update(s.args)
+            has_use = True
         elif (t := stmt_target(s)) is not None:
-            yield t
+            assigned.add(t)
+            if nested:
+                inputs.add(t)
+    return has_use
 
 
 def cell_precondition(statements) -> frozenset[str]:

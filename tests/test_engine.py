@@ -1,5 +1,6 @@
 import pytest
 
+from dlcheck import engine
 from dlcheck.corpus import notebook_bytes
 from dlcheck.domains import SourceAbs, frame
 from dlcheck.engine import (
@@ -66,6 +67,7 @@ def test_mutually_feeding_cells_subsume():
         'a = pd.read_csv("f.csv")',
         "b = a.dropna()",
         "c = b.head()",
+        "m.fit(b)\nm.predict(c)",
     ]))
     # cell 2 needs a, cell 3 needs b; after 2 -> 3 the state admits 2 again
     # with nothing new, so some branch must end in subsumption
@@ -169,3 +171,81 @@ def test_uses_nested_in_a_body_are_checked(header):
     ]))
     res = analyze_notebook(nb)
     assert [r.finding.key for r in res.findings] == [("overlap", "df", "df")]
+
+
+# ---------------------------------------------------------------------------
+# Relevance slicing
+# ---------------------------------------------------------------------------
+
+def _keys_and_traces(cells, k_bound=5):
+    nb = load_notebook(notebook_bytes(cells))
+    res = analyze_notebook(nb, PropagationConfig(k_bound=k_bound,
+                                                 halt_on_finding=False))
+    return [(r.finding.key, r.trace) for r in res.findings]
+
+
+def test_writer_inside_a_loop_body_is_relevant():
+    # the only writer of x assigns it in a for body
+    assert _keys_and_traces([
+        'import pandas as pd\ndf = pd.read_csv("f.csv")',
+        "for i in r:\n    x = df.iloc[0:50]",
+        "m.fit(x)\nm.predict(df.iloc[40:60])",
+    ]) == [(("overlap", "x", "_t0"), (1, 2, 3))]
+
+
+def test_relevance_runs_to_a_fixpoint():
+    # read -> a -> b -> use: the writer of a matters only through b's writer
+    assert _keys_and_traces([
+        'import pandas as pd\ndf = pd.read_csv("f.csv")',
+        "a = df.dropna()",
+        "b = a.iloc[0:50]",
+        "m.fit(b)\nm.predict(df.iloc[40:60])",
+    ]) == [(("overlap", "b", "_t0"), (1, 2, 3, 4))]
+
+
+@pytest.mark.parametrize("cells, key", [
+    # x is assigned in the loop body or one arm only, so the binding cell 2
+    # made is joined in when the loop runs zero times or the arm is not taken
+    (["x = df.iloc[50:60]",
+      "for i in r:\n    x = df.iloc[0:10]\nm.fit(x)\nm.predict(df.iloc[40:70])"],
+     ("overlap", "x", "_t1")),
+    (["x = df.iloc[50:60]",
+      "if c:\n    x = df.iloc[0:10]\nm.fit(x)\nm.predict(df.iloc[40:70])"],
+     ("overlap", "x'", "_t1")),
+    # the test use's check looks up the train use's x again, after cell 2
+    # rebound it
+    (["x = df.iloc[50:60]", "x = df.iloc[0:10]\nm.fit(x)",
+      "m.predict(df.iloc[55:58])"],
+     ("overlap", "x", "_t0")),
+], ids=["loop", "branch", "use"])
+def test_writer_of_a_read_that_is_not_a_precondition_is_relevant(cells, key):
+    """No precondition names x, yet the cell that writes it can change a
+    finding, so it must be searched."""
+    found = _keys_and_traces(['import pandas as pd\ndf = pd.read_csv("f.csv")']
+                             + cells)
+    assert [k for k, _ in found] == [key]
+
+
+def test_siblings_that_feed_no_use_are_not_searched(monkeypatch):
+    """One read, six siblings that only read it, and an evaluation cell on
+    one sibling, at K=5.  The siblings re-export ``df`` unchanged, which
+    writes nothing; counting them as writers of ``df`` would search every
+    interleaving of them again (531 transfers) instead of 21."""
+    nb = load_notebook(notebook_bytes(
+        ['import pandas as pd\nfrom sklearn.model_selection import '
+         'train_test_split\ndf = pd.read_csv("a.csv")']
+        + [f"x{j} = df.dropna()" for j in range(6)]
+        + ["tr, te = train_test_split(x3)\nm.fit(tr)\nm.predict(te)"]))
+    transfer = engine.transfer
+    calls = 0
+
+    def counted(s, m):
+        nonlocal calls
+        calls += 1
+        return transfer(s, m)
+
+    monkeypatch.setattr(engine, "transfer", counted)
+    res = analyze_notebook(nb, PropagationConfig(k_bound=5))
+    assert res.findings == [] and res.events == 1
+    assert calls <= 40
+    assert nb.relevant == {0, 4, 7}

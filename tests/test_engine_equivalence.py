@@ -1,6 +1,6 @@
 """Differential tests of the engine against the plain depth-first search it
-replaced: the successor index and the expansion memo must not change any
-finding, witness trace or warning."""
+replaced: relevance slicing, the successor index and the expansion memo
+must not change any finding, witness trace or warning."""
 
 import random
 
@@ -16,7 +16,7 @@ from dlcheck.engine import (
     valid_starts,
 )
 from dlcheck.interp import BOT_STATE
-from dlcheck.lang import Read, Select
+from dlcheck.lang import Read, Select, Use
 from dlcheck.notebook import CellIR, Notebook, load_notebook
 
 
@@ -196,7 +196,8 @@ def test_analysis_matches_reference_search(group, monkeypatch):
     """Identical findings (key, witness, file, sites, trace) and warnings
     for halt-on-finding on and off, K from 2 to 5, all starts together and
     each start on its own; and at every node the indexed successors are
-    exactly the cells ``phi`` admits."""
+    exactly the relevant cells ``phi`` admits.  The reference searches
+    every cell."""
     indexed = engine.successors
     checked_nodes = 0
 
@@ -205,7 +206,8 @@ def test_analysis_matches_reference_search(group, monkeypatch):
         out = indexed(nb, state, live, cache, parent)
         assert live == {v for v, a in state.env.items() if a.frames}
         assert [nb.cells[i] for i in out] == [
-            c for c in nb.cells if engine.phi(state, c.precondition)]
+            c for i, c in enumerate(nb.cells)
+            if i in nb.relevant and engine.phi(state, c.precondition)]
         checked_nodes += 1
         return out
 
@@ -241,7 +243,8 @@ def test_commuting_siblings_are_expanded_once(monkeypatch):
     set of siblings once instead of once per order."""
     nb = load_notebook(notebook_bytes(
         [f'{IMPORTS}\ndf = pd.read_csv("a.csv")']
-        + [f"x{j} = df.dropna()" for j in range(6)]))
+        + [f"x{j} = df.dropna()" for j in range(6)]
+        + ["m.fit(pd.concat([x0, x1, x2, x3, x4, x5]))"]))
     cfg = PropagationConfig(k_bound=5)
     transfer = engine.transfer
     calls = 0
@@ -267,6 +270,7 @@ def test_expansion_cut_above_its_node_is_not_reused():
         f'{IMPORTS}\nr = pd.read_csv("f.csv")\np = r.dropna()',
         "p = r.dropna()",
         "p = r.dropna()",
+        "m.fit(p)",
     ]))
     cfg = PropagationConfig(k_bound=3)
     expected = reference_propagate(nb, 1, cfg, [], [])
@@ -280,10 +284,12 @@ def test_failing_statement_warns_once():
     read = Read("a", "f.csv", site="1:1")
     bad = Select("b", "ghost", None, None, site="2:1")
     copy = Select("c", "a", None, None, site="3:1")
+    use = Use("train", ("b", "c"), site="4:1")
     nb = Notebook((
         CellIR(1, "", (read,), frozenset(), (), ()),
         CellIR(2, "", (bad,), frozenset({"a"}), (), ()),
         CellIR(3, "", (copy,), frozenset({"a"}), (), ()),
+        CellIR(4, "", (use,), frozenset({"b", "c"}), (), ()),
     ))
     raw = []
     engine.propagate(nb, 1, PropagationConfig(k_bound=5), raw)

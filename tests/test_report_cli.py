@@ -95,6 +95,14 @@ def test_cli_notebook_analysis(tmp_path, capsys):
     assert "OVERLAP" in out and "X_train" in out
 
 
+def test_cli_unknown_start_cell_names_the_cell_ids(tmp_path, capsys):
+    nb = tmp_path / "nb.ipynb"
+    nb.write_bytes(notebook_bytes(['df = pd.read_csv("a.csv")', "x = df.dropna()"]))
+    assert main(["analyze", str(nb), "--start-cell", "99"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: no cell 99: the notebook's cell ids are 1 to 2\n"
+
+
 def test_cli_k_inf_and_no_halt(tmp_path, capsys):
     nb = tmp_path / "nb.ipynb"
     _, cells, _ = next(x for x in CORPUS if x[0] == "o1_off_by_one_split")
@@ -254,6 +262,19 @@ def test_cli_bench_synthetic(capsys):
                  "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["median_ms"] < 1000
+
+
+@pytest.mark.parametrize("args, option", [
+    (["--synthetic", "5", "--runs", "0"], "--runs"),
+    (["--synthetic", "5", "--runs", "-3"], "--runs"),
+    (["--synthetic", "0"], "--synthetic"),
+    (["--synthetic", "-1", "--runs", "2"], "--synthetic"),
+])
+def test_cli_bench_rejects_sizes_below_one(capsys, args, option):
+    assert main(["bench", *args]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"bench: {option} must be at least 1" in out.err
 
 
 def test_exit_code_is_independent_of_timing(tmp_path):
