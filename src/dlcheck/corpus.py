@@ -1,15 +1,16 @@
-"""Bundled labeled corpus: twenty small notebooks covering the two leak
-patterns (whole-set normalization before the split; overlapping manual
-splits) plus leak-free variants, with expected findings recorded next to
-them.  Also generates the synthetic pipeline notebook used for latency
-benchmarking.
+"""Notebook generators: ``notebook_bytes`` writes a minimal nbformat-4
+document from code cell sources, and ``synthetic_notebook`` builds the
+pipeline-shaped notebook used for latency benchmarking.
+
+The labeled corpus is not here: its only copy is the checked-in
+``corpus/notebooks`` directory, the ``.ipynb`` files plus ``labels.json``,
+which ``dlcheck corpus`` scores.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from pathlib import Path
 
 SCHEMA_CELLS = {
     "cell_type": "code",
@@ -30,202 +31,6 @@ def notebook_bytes(cells, markdown=()) -> bytes:
          "cells": doc_cells},
         indent=1,
     ).encode()
-
-
-def _label(kind, train, test):
-    return {"kind": kind, "train_var": train, "test_var": test}
-
-
-# Each entry: (name, cells, expected findings).
-CORPUS = [
-    # --- normalization-before-split leaks -----------------------------------
-    ("t1_scale_before_split", [
-        'import pandas as pd\nfrom sklearn.preprocessing import StandardScaler\n'
-        'from sklearn.model_selection import train_test_split\n'
-        'from sklearn.linear_model import LogisticRegression',
-        'df = pd.read_csv("credit.csv")',
-        'scaler = StandardScaler()\nX = scaler.fit_transform(df)',
-        'X_train, X_test = train_test_split(X, test_size=0.2)',
-        'model = LogisticRegression()\nmodel.fit(X_train)\nmodel.predict(X_test)',
-    ], [_label("taint", "X_train", "X_test")]),
-
-    ("t2_minmax_before_split", [
-        'import pandas as pd\nfrom sklearn.preprocessing import MinMaxScaler\n'
-        'from sklearn.model_selection import train_test_split',
-        'housing = pd.read_csv("housing.csv")',
-        'scaled = MinMaxScaler().fit_transform(housing)',
-        'train_set, test_set = train_test_split(scaled)',
-        'reg = LinearRegression()\nreg.fit(train_set)\nreg.score(test_set)',
-    ], [_label("taint", "train_set", "test_set")]),
-
-    ("t3_scale_then_manual_slice", [
-        'import pandas as pd\nfrom sklearn.preprocessing import StandardScaler',
-        'data = pd.read_csv("data.csv")',
-        'X_norm = StandardScaler().fit_transform(data)',
-        'X_train = X_norm[int(0.025 * len(X_norm)) + 1:]\n'
-        'X_test = X_norm[:int(0.025 * len(X_norm))]',
-        'clf = SVC()\nclf.fit(X_train)\nclf.predict(X_test)',
-    ], [_label("taint", "X_train", "X_test")]),
-
-    ("t4_scale_column_subset", [
-        'import pandas as pd\nfrom sklearn.preprocessing import StandardScaler\n'
-        'from sklearn.model_selection import train_test_split',
-        'df = pd.read_csv("wine.csv")',
-        'X = df[["alcohol", "acidity", "sugar"]]\ny = df[["quality"]]',
-        'X = StandardScaler().fit_transform(X)',
-        'X_train, X_test, y_train, y_test = train_test_split(X, y)',
-        'model = RandomForestClassifier()\nmodel.fit(X_train, y_train)\n'
-        'accuracy_score(y_test, model.predict(X_test))',
-    ], [_label("taint", "X_train", "X_test")]),
-
-    ("t5_scale_function", [
-        'import pandas as pd\nfrom sklearn.preprocessing import scale\n'
-        'from sklearn.model_selection import train_test_split',
-        'df = pd.read_csv("cancer.csv")',
-        'X = scale(df)',
-        'X_train, X_test = train_test_split(X)',
-        'knn = KNeighborsClassifier()\nknn.fit(X_train)\nknn.predict(X_test)',
-    ], [_label("taint", "X_train", "X_test")]),
-
-    ("t6_concat_then_scale", [
-        'import pandas as pd\nfrom sklearn.preprocessing import StandardScaler\n'
-        'from sklearn.model_selection import train_test_split',
-        'a = pd.read_csv("jan.csv")\nb = pd.read_csv("feb.csv")\n'
-        'df = pd.concat([a, b])',
-        'X = StandardScaler().fit_transform(df)',
-        'X_train, X_test = train_test_split(X)',
-        'gbm = GradientBoostingClassifier()\ngbm.fit(X_train)\ngbm.predict(X_test)',
-    ], [_label("taint", "X_train", "X_test")]),
-
-    # --- overlapping-split leaks ---------------------------------------------
-    ("o1_off_by_one_split", [
-        'df = pd.read_csv("heart.csv")',
-        "y = df[['target']]\nX = df.drop('target', axis=1)\n\n"
-        "X_train = X.iloc[:split+1] \nX_test = X.iloc[split:end]\n\n"
-        "y_train = y.iloc[:split+1]\ny_test = y.iloc[split:end]\n",
-        "lr_clf = LogisticRegression(solver='liblinear')\n"
-        "train1 = lr_clf.fit(X_train, y_train)",
-        "train_score = accuracy_score(y_test, lr_clf.predict(X_test))",
-    ], [_label("overlap", "X_train", "X_test")]),
-
-    ("o2_shared_boundary", [
-        'import pandas as pd',
-        'df = pd.read_csv("churn.csv")',
-        'X_train = df.iloc[:cut]\nX_test = df.iloc[cut:]',
-        'model = LogisticRegression()\nmodel.fit(X_train)\nmodel.predict(X_test)',
-    ], [_label("overlap", "X_train", "X_test")]),
-
-    ("o3_test_on_train", [
-        'import pandas as pd',
-        'df = pd.read_csv("iris.csv")',
-        'model = DecisionTreeClassifier()\nmodel.fit(df)',
-        'model.score(df)',
-    ], [_label("overlap", "df", "df")]),
-
-    ("o4_test_on_slice_of_train", [
-        'import pandas as pd',
-        'full = pd.read_csv("sales.csv")',
-        'holdout = full.iloc[100:200]',
-        'model = Ridge()\nmodel.fit(full)',
-        'model.predict(holdout)',
-    ], [_label("overlap", "full", "holdout")]),
-
-    ("o5_overlapping_ranges", [
-        'import pandas as pd',
-        'df = pd.read_csv("loans.csv")',
-        'X_train = df.iloc[0:60]\nX_test = df.iloc[50:100]',
-        'clf = LogisticRegression()\nclf.fit(X_train)\nclf.predict(X_test)',
-    ], [_label("overlap", "X_train", "X_test")]),
-
-    ("o6_concat_overlap", [
-        'import pandas as pd',
-        'df = pd.read_csv("clicks.csv")',
-        'recent = df.iloc[40:80]\nold = df.iloc[0:50]\n'
-        'X_train = pd.concat([old, recent])',
-        'X_test = df.iloc[45:60]',
-        'model = SGDClassifier()\nmodel.fit(X_train)\nmodel.predict(X_test)',
-    ], [_label("overlap", "X_train", "X_test")]),
-
-    # --- leak-free notebooks ---------------------------------------------------
-    ("c1_split_then_scale", [
-        'import pandas as pd\nfrom sklearn.preprocessing import StandardScaler\n'
-        'from sklearn.model_selection import train_test_split',
-        'df = pd.read_csv("credit.csv")',
-        'X_train, X_test = train_test_split(df, test_size=0.2)',
-        'scaler = StandardScaler()\nX_train_s = scaler.fit_transform(X_train)\n'
-        'X_test_s = scaler.transform(X_test)',
-        'model = LogisticRegression()\nmodel.fit(X_train_s)\nmodel.predict(X_test_s)',
-    ], []),
-
-    ("c2_plain_split", [
-        'import pandas as pd\nfrom sklearn.model_selection import train_test_split',
-        'df = pd.read_csv("housing.csv")',
-        'train_set, test_set = train_test_split(df)',
-        'reg = LinearRegression()\nreg.fit(train_set)\nreg.score(test_set)',
-    ], []),
-
-    ("c3_separate_files", [
-        'import pandas as pd',
-        'train_df = pd.read_csv("train.csv")\ntest_df = pd.read_csv("test.csv")',
-        'model = XGBClassifier()\nmodel.fit(train_df)',
-        'model.predict(test_df)',
-    ], []),
-
-    ("c4_gap_between_slices", [
-        'import pandas as pd',
-        'df = pd.read_csv("energy.csv")',
-        'X_train = df.iloc[0:49]\nX_test = df.iloc[50:100]',
-        'model = Lasso()\nmodel.fit(X_train)\nmodel.predict(X_test)',
-    ], []),
-
-    ("c5_scale_per_half", [
-        'import pandas as pd\nfrom sklearn.preprocessing import StandardScaler',
-        'df = pd.read_csv("traffic.csv")',
-        'train_half = df.iloc[0:49]\ntest_half = df.iloc[50:100]',
-        'X_train = StandardScaler().fit_transform(train_half)\n'
-        'X_test = StandardScaler().fit_transform(test_half)',
-        'net = MLPClassifier()\nnet.fit(X_train)\nnet.predict(X_test)',
-    ], []),
-
-    ("c6_branchy_cleaning", [
-        'import pandas as pd\nfrom sklearn.model_selection import train_test_split',
-        'df = pd.read_csv("weather.csv")',
-        'if drop_missing:\n    clean = df.dropna()\nelse:\n    clean = df.fillna(0)',
-        'X_train, X_test = train_test_split(clean)',
-        'model = LogisticRegression()\nmodel.fit(X_train)\nmodel.predict(X_test)',
-    ], []),
-
-    ("c7_loopy_cleaning", [
-        'import pandas as pd\nfrom sklearn.model_selection import train_test_split',
-        'df = pd.read_csv("sensors.csv")',
-        'for col in cols:\n    df = df.interpolate()',
-        'X_train, X_test = train_test_split(df)',
-        'model = LinearRegression()\nmodel.fit(X_train)\nmodel.predict(X_test)',
-    ], []),
-
-    ("c8_feature_projection", [
-        'import pandas as pd\nfrom sklearn.model_selection import train_test_split',
-        'df = pd.read_csv("students.csv")',
-        'X = df[["hours", "attendance"]]\ny = df[["grade"]]',
-        'X_train, X_test, y_train, y_test = train_test_split(X, y)',
-        'model = LogisticRegression()\nmodel.fit(X_train, y_train)\n'
-        'accuracy_score(y_test, model.predict(X_test))',
-    ], []),
-]
-
-
-def build_corpus(directory) -> Path:
-    """Write the corpus notebooks and their label file; returns the labels path."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    labels = []
-    for name, cells, expected in CORPUS:
-        path = directory / f"{name}.ipynb"
-        path.write_bytes(notebook_bytes(cells))
-        labels.append({"notebook": f"{name}.ipynb", "expected": expected})
-    labels_path = directory / "labels.json"
-    labels_path.write_text(json.dumps(labels, indent=1))
-    return labels_path
 
 
 def synthetic_notebook(n_cells: int = 50, seed: int = 0) -> bytes:

@@ -308,27 +308,23 @@ def _pair_finding(m: AbstractState, o1, o2) -> Finding | None:
     return None
 
 
-def check_leakage(m: AbstractState, uses=None) -> list[Finding]:
-    """Leaking train/test pairs in the state, deduplicated per pair.
+def check_leakage(m: AbstractState, uses) -> list[Finding]:
+    """Leaking train/test pairs that ``uses`` add to the state, deduplicated
+    per pair.
 
     ``uses`` are the ``Use`` nodes one statement contains, at any depth, and
-    ``m`` the state after it ran: then only the pairs they add are checked,
-    each use's arguments against every recorded use of the other kind.  The
-    uses are read from the statement, not from the state, because
-    ``record_use`` keeps a (var, site) pair only once, and a cell may run
-    again after its variable was rebound.  Without ``uses`` every recorded
-    pair is checked.
+    ``m`` the state after it ran: each use's arguments are checked against
+    every recorded use of the other kind.  The uses are read from the
+    statement, not from the state, because ``record_use`` keeps a (var, site)
+    pair only once, and a cell may run again after its variable was rebound.
     """
-    if uses is None:
-        pairs = [(o1, o2) for o1 in m.train_uses for o2 in m.test_uses]
-    else:
-        pairs = []
-        for u in uses:
-            new = [(a, u.site) for a in u.args]
-            if u.kind == "train":
-                pairs += [(o1, o2) for o1 in new for o2 in m.test_uses]
-            else:
-                pairs += [(o1, o2) for o1 in m.train_uses for o2 in new]
+    pairs = []
+    for u in uses:
+        new = [(a, u.site) for a in u.args]
+        if u.kind == "train":
+            pairs += [(o1, o2) for o1 in new for o2 in m.test_uses]
+        else:
+            pairs += [(o1, o2) for o1 in m.train_uses for o2 in new]
     findings: list[Finding] = []
     seen = set()
     for o1, o2 in pairs:

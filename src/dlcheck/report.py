@@ -221,13 +221,16 @@ def _check_labels(labels) -> None:
 def score_corpus(directory, labels_path, cfg: PropagationConfig | None = None,
                  kb: KnowledgeBase | None = None) -> CorpusSummary:
     """Analyze every labeled notebook and tally reported findings against
-    the expected (kind, train_var, test_var) triples."""
+    the expected (kind, train_var, test_var) triples.  A second label entry
+    for a notebook, and a ``.ipynb`` in the directory with no entry, are
+    error rows, not scored."""
     directory = Path(directory)
     with open(labels_path, encoding="utf-8") as fh:
         labels = json.load(fh)
     _check_labels(labels)
     kb = kb or default_kb()
     summary = CorpusSummary()
+    labeled = set()
 
     def run_one(entry) -> CorpusRow:
         name = entry["notebook"]
@@ -235,6 +238,10 @@ def score_corpus(directory, labels_path, cfg: PropagationConfig | None = None,
                     for e in entry["expected"]]
         row = CorpusRow(notebook=name, expected=expected, reported=[])
         path = directory / name
+        if name in labeled:
+            row.error = "duplicate label entry"
+            return row
+        labeled.add(name)
         if not path.exists():
             row.error = "missing notebook"
             return row
@@ -254,7 +261,11 @@ def score_corpus(directory, labels_path, cfg: PropagationConfig | None = None,
         row.fn = len(exp - rep)
         return row
 
-    summary.rows = sorted((run_one(e) for e in labels), key=lambda r: r.notebook)
+    rows = [run_one(e) for e in labels]
+    rows += [CorpusRow(notebook=p.name, expected=[], reported=[],
+                       error="unlabeled notebook")
+             for p in directory.glob("*.ipynb") if p.name not in labeled]
+    summary.rows = sorted(rows, key=lambda r: r.notebook)
     for r in summary.rows:
         if r.error:
             summary.warnings.append(f"{r.notebook}: {r.error}")

@@ -10,7 +10,9 @@ import random
 import time
 from fractions import Fraction
 
-from dlcheck.corpus import build_corpus, notebook_bytes, synthetic_notebook
+from conftest import CORPUS_DIR
+
+from dlcheck.corpus import notebook_bytes, synthetic_notebook
 from dlcheck.domains import (
     AbsDataFrame,
     ColumnAbs,
@@ -373,9 +375,9 @@ def test_criterion_8_latency():
                    f"max {res.max_ms:.1f}ms per event over {res.events} events")
 
 
-def test_criterion_9_corpus_score(tmp_path):
-    labels = build_corpus(tmp_path)
-    summary = score_corpus(tmp_path, labels)
+def test_criterion_9_corpus_score():
+    labels = CORPUS_DIR / "labels.json"
+    summary = score_corpus(CORPUS_DIR, labels)
     kinds = {"taint": 0, "overlap": 0}
     with open(labels, encoding="utf-8") as fh:
         for entry in json.load(fh):

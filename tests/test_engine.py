@@ -226,6 +226,21 @@ def test_writer_of_a_read_that_is_not_a_precondition_is_relevant(cells, key):
     assert [k for k, _ in found] == [key]
 
 
+@pytest.mark.xfail(strict=True, reason="a recorded use is looked up again by "
+                   "variable name, so cell 3's rebinding of x hides the leak")
+def test_rebinding_a_train_variable_keeps_the_recorded_use():
+    """The run 1, 2, 3, 4 fits on rows 50-60 and predicts rows 55-58.  Cell 3
+    rebinds x to rows of w before the test use is checked, and the check
+    pairs z with what x is bound to then.  At K=5 the leak surfaces only
+    through the longer witness 1, 2, 3, 2, 4."""
+    assert _keys_and_traces([
+        'df = pd.read_csv("f.csv")',
+        "x = df.iloc[50:60]\nm.fit(x)\nw = df.iloc[0:5]",
+        "x = w.iloc[0:3]\nz = df.iloc[55:58]",
+        "m.predict(z)",
+    ], k_bound=4) == [(("overlap", "x", "z"), (1, 2, 3, 4))]
+
+
 def test_siblings_that_feed_no_use_are_not_searched(monkeypatch):
     """One read, six siblings that only read it, and an evaluation cell on
     one sibling, at K=5.  The siblings re-export ``df`` unchanged, which

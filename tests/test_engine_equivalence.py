@@ -6,8 +6,10 @@ import random
 
 import pytest
 
+from conftest import corpus_cases
+
 from dlcheck import engine
-from dlcheck.corpus import CORPUS, notebook_bytes, synthetic_notebook
+from dlcheck.corpus import notebook_bytes, synthetic_notebook
 from dlcheck.engine import (
     ExecutionTrace,
     FindingRecord,
@@ -180,7 +182,7 @@ USE_ORDER = notebook_bytes([
 ])
 
 INPUTS = {
-    "corpus": [notebook_bytes(cells) for _name, cells, _exp in CORPUS],
+    "corpus": [data for _name, data in corpus_cases()],
     "orders": [USE_ORDER],
     "fanout": [fanout_notebook(n, kind, reads)
                for n in (2, 4, 6) for kind in ("clean", "overlap", "taint")

@@ -157,13 +157,17 @@ def test_no_uses_no_findings():
     assert findings == []
 
 
+# the uses the states below record
+TR_TE_USES = [Use("train", ("tr",)), Use("test", ("te",))]
+
+
 def test_check_leakage_symbolic_disjoint():
     s = RowExpr.symbol("s")
     st = _state(
         tr=SourceAbs(frozenset({frame("f", {"c"}, s.shift(1), "inf")}), False),
         te=SourceAbs(frozenset({frame("f", {"c"}, 0, s)}), False),
     ).record_use("train", ("tr",), None).record_use("test", ("te",), None)
-    assert check_leakage(st) == []
+    assert check_leakage(st, TR_TE_USES) == []
 
 
 def test_check_leakage_overlap_at_split_symbol():
@@ -172,7 +176,7 @@ def test_check_leakage_overlap_at_split_symbol():
         tr=SourceAbs(frozenset({frame("f", None, 0, s.shift(1))}), False),
         te=SourceAbs(frozenset({frame("f", None, s, RowExpr.symbol("e"))}), False),
     ).record_use("train", ("tr",), None).record_use("test", ("te",), None)
-    found = check_leakage(st)
+    found = check_leakage(st, TR_TE_USES)
     assert [f.kind for f in found] == ["overlap"]
     assert found[0].file == "f"
 
@@ -182,7 +186,8 @@ def test_finding_deduplication_per_pair():
         a=SourceAbs(frozenset({frame("f", None, 0, 5), frame("g", None, 0, 5)}), False),
         b=SourceAbs(frozenset({frame("f", None, 3, 9), frame("g", None, 3, 9)}), False),
     ).record_use("train", ("a",), None).record_use("test", ("b",), None)
-    assert len(check_leakage(st)) == 1
+    uses = [Use("train", ("a",)), Use("test", ("b",))]
+    assert len(check_leakage(st, uses)) == 1
 
 
 # -- control flow -----------------------------------------------------------------

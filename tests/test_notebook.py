@@ -4,6 +4,8 @@ import re
 
 import pytest
 
+from conftest import corpus_cases
+
 from dlcheck.corpus import notebook_bytes
 from dlcheck.lang import (
     Apply,
@@ -344,8 +346,6 @@ def test_multi_statement_function_body_inlines():
 # -- knowledge base -------------------------------------------------------------------
 
 def test_translated_cells_respect_ssa_and_precondition_subset():
-    import re
-    from dlcheck.corpus import CORPUS
     from dlcheck.lang import stmt_target
 
     def check_ssa(stmts, taken, in_loop=False):
@@ -361,8 +361,8 @@ def test_translated_cells_respect_ssa_and_precondition_subset():
                     assert t not in taken, f"target {t} reassigned"
                     taken.add(t)
 
-    for name, cells, _ in CORPUS:
-        nb = load_notebook(notebook_bytes(cells))
+    for name, data in corpus_cases():
+        nb = load_notebook(data)
         for c in nb.cells:
             check_ssa(c.statements, set())
             names = set(re.findall(r"[A-Za-z_]\w*", c.source))

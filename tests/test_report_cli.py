@@ -1,10 +1,11 @@
 import json
-from pathlib import Path
 
 import pytest
 
+from conftest import CORPUS_DIR
+
 from dlcheck.cli import main
-from dlcheck.corpus import CORPUS, build_corpus, notebook_bytes, synthetic_notebook
+from dlcheck.corpus import notebook_bytes, synthetic_notebook
 from dlcheck.report import analyze_path, bench_notebook, score_corpus
 
 MOTIVATING = """data = read("data.csv")
@@ -85,12 +86,8 @@ def test_cli_json_format(tmp_path, capsys):
     assert len(doc["states"]) == 7
 
 
-def test_cli_notebook_analysis(tmp_path, capsys):
-    nb = tmp_path / "nb.ipynb"
-    name, cells, expected = next(
-        (n, c, e) for n, c, e in CORPUS if n == "o1_off_by_one_split")
-    nb.write_bytes(notebook_bytes(cells))
-    assert main(["analyze", str(nb)]) == 1
+def test_cli_notebook_analysis(capsys):
+    assert main(["analyze", str(CORPUS_DIR / "o1_off_by_one_split.ipynb")]) == 1
     out = capsys.readouterr().out
     assert "OVERLAP" in out and "X_train" in out
 
@@ -103,10 +100,8 @@ def test_cli_unknown_start_cell_names_the_cell_ids(tmp_path, capsys):
     assert err == "error: no cell 99: the notebook's cell ids are 1 to 2\n"
 
 
-def test_cli_k_inf_and_no_halt(tmp_path, capsys):
-    nb = tmp_path / "nb.ipynb"
-    _, cells, _ = next(x for x in CORPUS if x[0] == "o1_off_by_one_split")
-    nb.write_bytes(notebook_bytes(cells))
+def test_cli_k_inf_and_no_halt(capsys):
+    nb = CORPUS_DIR / "o1_off_by_one_split.ipynb"
     assert main(["analyze", str(nb), "--k", "inf", "--no-halt-on-finding"]) == 1
     capsys.readouterr()
 
@@ -134,22 +129,17 @@ def test_cli_custom_kb_via_env(tmp_path, capsys, monkeypatch):
 
 # -- corpus scoring ------------------------------------------------------------
 
-def test_corpus_perfect_score(tmp_path):
-    labels = build_corpus(tmp_path)
-    summary = score_corpus(tmp_path, labels)
+def test_corpus_perfect_score():
+    summary = score_corpus(CORPUS_DIR, CORPUS_DIR / "labels.json")
     assert summary.precision == 1.0 and summary.recall == 1.0
     kinds = summary.kind_counts()
     assert kinds["taint"] >= 5 and kinds["overlap"] >= 5
     assert sum(summary.histogram().values()) == sum(r.tp for r in summary.rows)
 
 
-def test_checked_in_corpus_is_build_corpus_output(tmp_path):
-    checked_in = Path(__file__).resolve().parents[1] / "corpus" / "notebooks"
-    build_corpus(tmp_path)
-    assert sorted(p.name for p in tmp_path.iterdir()) == \
-        sorted(p.name for p in checked_in.iterdir())
-    for p in tmp_path.iterdir():
-        assert p.read_bytes() == (checked_in / p.name).read_bytes(), p.name
+def test_checked_in_corpus_labels_every_notebook_once():
+    summary = score_corpus(CORPUS_DIR, CORPUS_DIR / "labels.json")
+    assert len(summary.rows) == 20 and summary.warnings == []
 
 
 def test_corpus_empty(tmp_path):
@@ -165,6 +155,28 @@ def test_corpus_missing_notebook_warns(tmp_path):
     labels.write_text(json.dumps([{"notebook": "ghost.ipynb", "expected": []}]))
     summary = score_corpus(tmp_path, labels)
     assert summary.warnings and "missing notebook" in summary.warnings[0]
+
+
+O1 = {"notebook": "o1_off_by_one_split.ipynb", "expected": [
+    {"kind": "overlap", "train_var": "X_train", "test_var": "X_test"}]}
+
+
+@pytest.mark.parametrize("entries, unlabeled, message", [
+    ([O1, O1], [], "o1_off_by_one_split.ipynb: duplicate label entry"),
+    ([O1], ["c2_plain_split.ipynb"], "c2_plain_split.ipynb: unlabeled notebook"),
+])
+def test_corpus_flags_duplicate_and_unlabeled_notebooks(
+        tmp_path, capsys, entries, unlabeled, message):
+    for name in ["o1_off_by_one_split.ipynb", *unlabeled]:
+        (tmp_path / name).write_bytes((CORPUS_DIR / name).read_bytes())
+    labels = tmp_path / "labels.json"
+    labels.write_text(json.dumps(entries))
+    summary = score_corpus(tmp_path, labels)
+    assert summary.totals() == (1, 0, 0)
+    assert summary.warnings == [message]
+    assert main(["corpus", str(tmp_path)]) == 2
+    name, _, error = message.partition(": ")
+    assert f"{name}: ERROR {error}" in capsys.readouterr().out
 
 
 def test_corpus_scores_the_rest_past_a_malformed_notebook(tmp_path):
@@ -208,9 +220,8 @@ def test_corpus_rejects_malformed_label_entries(tmp_path, capsys, doc, message):
     assert message in capsys.readouterr().err
 
 
-def test_cli_corpus(tmp_path, capsys):
-    build_corpus(tmp_path)
-    assert main(["corpus", str(tmp_path), "--format", "json"]) == 0
+def test_cli_corpus(capsys):
+    assert main(["corpus", str(CORPUS_DIR), "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["precision"] == 1.0 and doc["recall"] == 1.0
 
