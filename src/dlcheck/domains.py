@@ -14,7 +14,7 @@ keep either operand (both soundly over-approximate an intersection).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .lang import INF, RowExpr, expr_add, expr_le, expr_lt, expr_sub
 
@@ -263,12 +263,24 @@ class AbsDataFrame:
     file: str
     cols: ColumnAbs
     rows: RowInterval
+    # The sort key and the hash, computed once; neither takes part in
+    # ``==``, ``repr`` or ``dataclasses.replace``.  The hash is the one the
+    # generated ``__hash__`` would give, so set iteration order is unchanged.
+    _key: tuple = field(init=False, compare=False, repr=False)
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.rows.is_bot:
             raise ValueError("frame rows cannot be bottom")
         if self.cols.is_empty:
             raise ValueError("frame columns cannot be empty")
+        cols = ("~top",) if self.cols.is_top else tuple(sorted(self.cols.cols))
+        object.__setattr__(
+            self, "_key", (self.file, cols, str(self.rows.lo), str(self.rows.hi)))
+        object.__setattr__(self, "_hash", hash((self.file, self.cols, self.rows)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return f"{self.file}^{self.cols}_{self.rows}"
@@ -326,32 +338,45 @@ def df_constrain(a: AbsDataFrame, c: ColumnAbs, ij: RowInterval) -> AbsDataFrame
 # ---------------------------------------------------------------------------
 
 def _frame_key(f: AbsDataFrame):
-    cols = ("~top",) if f.cols.is_top else tuple(sorted(f.cols.cols))
-    return (f.file, cols, str(f.rows.lo), str(f.rows.hi))
+    return f._key
 
 
 def ordered_frames(frames) -> tuple[AbsDataFrame, ...]:
     return tuple(sorted(frames, key=_frame_key))
 
 
-def set_reduce(frames) -> frozenset[AbsDataFrame]:
+def set_reduce(frames, parts=()) -> frozenset[AbsDataFrame]:
     """Join overlapping frames until the set is canonical.
 
     Inserts the frames one at a time in ``ordered_frames`` order.  A frame
     that overlaps a kept one absorbs it, and the scan starts over: the join
     may overlap kept frames that neither operand did.  Terminates because
     every join removes a kept frame.
+
+    ``parts`` optionally lists canonical sets whose union is ``frames``.
+    Two frames that are both unjoined members of one part are known not to
+    overlap, so that test is skipped; the result is the same as without
+    ``parts``.
     """
     kept: list[AbsDataFrame] = []
+    # Per kept frame, a bit per part the frame is an unjoined member of.
+    owners: list[int] = []
     for f in ordered_frames(frames):
+        mine = 0
+        for bit, part in enumerate(parts):
+            if f in part:
+                mine |= 1 << bit
         i = 0
         while i < len(kept):
-            if df_overlap(kept[i], f):
+            if not owners[i] & mine and df_overlap(kept[i], f):
                 f = df_join(kept.pop(i), f)
+                owners.pop(i)
+                mine = 0
                 i = 0
             else:
                 i += 1
         kept.append(f)
+        owners.append(mine)
     return frozenset(kept)
 
 
@@ -365,11 +390,21 @@ def is_canonical(frames) -> bool:
 
 
 def set_leq(a, b) -> bool:
-    return all(any(df_leq(x, y) for y in b) for x in a)
+    """Every frame of ``a`` lies below some frame of ``b``.  A frame that is
+    also in ``b`` is covered by itself (``df_leq`` is reflexive)."""
+    b = frozenset(b)
+    return all(x in b or any(df_leq(x, y) for y in b) for x in a)
 
 
 def set_join(a, b) -> frozenset[AbsDataFrame]:
-    return set_reduce(set(a) | set(b))
+    """The canonical set of ``a``'s and ``b``'s frames.
+
+    Both operands must be canonical, as every ``SourceAbs.frames`` is: no
+    two frames of one operand are tested for overlap until one of them has
+    been joined.  The result is ``set_reduce(set(a) | set(b))``.
+    """
+    a, b = frozenset(a), frozenset(b)
+    return set_reduce(a | b, (a, b))
 
 
 def set_constrain(frames, c: ColumnAbs, ij: RowInterval) -> frozenset[AbsDataFrame]:

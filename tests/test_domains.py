@@ -19,6 +19,7 @@ from dlcheck.domains import (
     columns,
     df_constrain,
     df_join,
+    df_leq,
     df_meet,
     df_overlap,
     frame,
@@ -254,6 +255,150 @@ def test_set_reduce_overlap_tests_stay_quadratic(monkeypatch):
     assert got == frozenset(disjoint) | {frame("f", None, 900, 940)}
     n, joins = len(disjoint) + len(chain), len(chain) - 1
     assert calls <= n * (n - 1) // 2 + joins * n
+
+
+def reference_set_join(a, b):
+    """``set_join`` before it skipped the tests between two unjoined frames
+    of one operand: reduce the union from scratch."""
+    return set_reduce(set(a) | set(b))
+
+
+def _random_canonical(rng, p_symbolic):
+    """A canonical set of up to 16 frames over two files: mostly narrow
+    windows, so that many stay apart, and some wide or unbounded ones.
+    Bounds on two different symbols always may overlap, so most sets use
+    one symbol."""
+    symbols = rng.choice(("s", "t", "st"))
+
+    def bound():
+        if rng.random() < p_symbolic:
+            return RowExpr.symbol(rng.choice(symbols), rng.randrange(150))
+        return RowExpr.const(rng.randrange(150))
+
+    out = []
+    for _ in range(rng.randint(0, 16)):
+        lo, r = bound(), rng.random()
+        if r < 0.85:
+            hi = lo.shift(rng.randrange(8))
+        elif r < 0.88:
+            hi = INF
+        else:
+            hi = bound()
+            if expr_le(lo, hi) is False:
+                lo, hi = hi, lo
+        cols = TOP_COLS if rng.random() < 0.3 else \
+            ColumnAbs(frozenset(rng.sample("abcd", rng.randint(1, 3))))
+        out.append(AbsDataFrame(rng.choice("fg"), cols, rows(lo, hi)))
+    return set_reduce(out)
+
+
+def test_set_join_matches_reducing_the_union():
+    """Skipping the tests between two frames of one canonical operand
+    changes nothing: same result as reducing the union, on 12,000 seeded
+    random canonical pairs with constant, mixed and all-symbolic bounds, a
+    quarter of them sharing frames."""
+    rng = random.Random(8)
+    pools = [[_random_canonical(rng, p) for _ in range(400)] for p in (0.0, 0.5, 1.0)]
+    shared = 0
+    for n in range(12000):
+        a, b = rng.choice(pools[n % 3]), rng.choice(pools[n % 3])
+        if n % 4 == 0 and a:
+            b = set_reduce(list(b) + rng.sample(ordered_frames(a), (len(a) + 1) // 2))
+            shared += bool(a & b)
+            if n % 8 == 0:
+                a, b = b, a
+        assert set_join(a, b) == reference_set_join(a, b), (
+            [str(f) for f in ordered_frames(a)], [str(f) for f in ordered_frames(b)])
+    assert shared > 1500
+
+
+def test_set_join_of_symbolic_sets_is_commutative():
+    """Inserting ``b``'s frames into ``a`` would join ``g^T_[55, 58]`` with
+    ``g^{a,d}_[61, t+67]`` on one side only, giving ``g^T_[55, t+67]``
+    for ``set_join(A, B)`` and ``g^T_[55, inf]`` for ``set_join(B, A)``."""
+    def sym(name, offset):
+        return RowExpr.symbol(name, offset)
+
+    a = frozenset({
+        frame("f", {"a", "c"}, sym("s", 7), sym("t", 18)),
+        frame("g", {"a", "c"}, 10, 13),
+        frame("g", {"c", "d"}, sym("t", 60), 63),
+        frame("g", None, 23, 27),
+        frame("g", None, 58, sym("t", 55)),
+        frame("g", None, sym("s", 46), 47),
+    })
+    b = frozenset({
+        frame("f", None, 7, "inf"),
+        frame("g", {"a", "d"}, 61, sym("t", 67)),
+        frame("g", {"b", "d"}, sym("t", 32), 35),
+        frame("g", {"c"}, 55, 58),
+    })
+    assert is_canonical(a) and is_canonical(b)
+    got = set_join(a, b)
+    assert got == set_join(b, a) == reference_set_join(a, b)
+    assert frame("g", None, 55, "inf") in got
+
+
+def test_set_join_overlap_tests_stay_linear_per_join(monkeypatch):
+    """Folding 100 disjoint frames into one set, one join each: a join
+    tests the new frame against each kept frame once, and never two frames
+    of the accumulated set (about 166k tests in all when it did)."""
+    calls = 0
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        return df_overlap(a, b)
+
+    monkeypatch.setattr(domains, "df_overlap", counting)
+    acc = frozenset()
+    for lo in range(0, 500, 5):
+        before = calls
+        acc = set_join(acc, {frame("f", None, lo, lo + 2)})
+        assert calls - before <= len(acc) - 1
+    assert len(acc) == 100
+    assert calls <= 100 * 99 // 2
+
+
+def _reference_set_leq(a, b):
+    return all(any(df_leq(x, y) for y in b) for x in a)
+
+
+def test_set_leq_matches_pairwise_scan():
+    """Same answer as the pairwise ``df_leq`` scan, on lists that overlap,
+    repeat frames and share frames with the other operand."""
+    rng = random.Random(9)
+    for n in range(3000):
+        p_symbolic = (0.0, 0.5, 1.0)[n % 3]
+        a = _random_reduce_input(rng, p_symbolic)
+        b = _random_reduce_input(rng, p_symbolic)
+        if n % 2 and a:
+            b += rng.sample(a, rng.randint(1, len(a)))
+        if n % 5 == 0 and b:
+            a += rng.sample(b, rng.randint(1, len(b)))
+        for x, y in ((a, b), (b, a), (a, a + b), (a, set_reduce(a + b))):
+            assert set_leq(x, y) == _reference_set_leq(x, y)
+
+
+def test_frame_hash_and_sort_key_are_computed_once_and_unchanged():
+    """The stored hash is the generated dataclass hash, and the stored sort
+    key the formula ``ordered_frames`` always used; neither shows in
+    ``==``, ``repr`` or ``dataclasses.replace``."""
+    import dataclasses
+
+    fs = [frame("f", {"b", "a"}, RowExpr.symbol("s", 3), "inf"),
+          frame("g", None, 2, RowExpr.symbol("t")),
+          frame("f", {"c"}, 0, 9)]
+    for f in fs:
+        assert hash(f) == hash((f.file, f.cols, f.rows))
+        cols = ("~top",) if f.cols.is_top else tuple(sorted(f.cols.cols))
+        assert domains._frame_key(f) == (f.file, cols, str(f.rows.lo), str(f.rows.hi))
+        assert repr(f) == f"AbsDataFrame(file={f.file!r}, cols={f.cols!r}, rows={f.rows!r})"
+        assert f == AbsDataFrame(f.file, f.cols, f.rows)
+    moved = dataclasses.replace(fs[2], rows=rows(4, 5))
+    assert moved == frame("f", {"c"}, 4, 5)
+    assert hash(moved) == hash(frame("f", {"c"}, 4, 5))
+    assert domains._frame_key(moved) == ("f", ("c",), "4", "5")
 
 
 def test_set_join_of_published_inputs():

@@ -100,6 +100,23 @@ def test_cli_unknown_start_cell_names_the_cell_ids(tmp_path, capsys):
     assert err == "error: no cell 99: the notebook's cell ids are 1 to 2\n"
 
 
+def test_cli_rejects_dump_state_on_a_notebook(capsys):
+    nb = CORPUS_DIR / "o1_off_by_one_split.ipynb"
+    assert main(["analyze", str(nb), "--dump-state"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("analyze: --dump-state applies to .dfl programs, "
+                       "not to an .ipynb notebook\n")
+
+
+def test_cli_rejects_start_cell_on_a_program(motivating_dfl, capsys):
+    assert main(["analyze", str(motivating_dfl), "--start-cell", "1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("analyze: --start-cell applies to .ipynb notebooks, "
+                       "not to a .dfl program\n")
+
+
 def test_cli_k_inf_and_no_halt(capsys):
     nb = CORPUS_DIR / "o1_off_by_one_split.ipynb"
     assert main(["analyze", str(nb), "--k", "inf", "--no-halt-on-finding"]) == 1
