@@ -282,6 +282,11 @@ class AbsDataFrame:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        # String hashes differ between interpreters: a copy or an unpickled
+        # frame recomputes its hash rather than carrying this one over.
+        return (AbsDataFrame, (self.file, self.cols, self.rows))
+
     def __str__(self) -> str:
         return f"{self.file}^{self.cols}_{self.rows}"
 
