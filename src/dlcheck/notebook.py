@@ -773,8 +773,9 @@ class _Translator:
 
     def translate(self, source: str, tree: ast.Module | SyntaxError) -> CellIR:
         if isinstance(tree, SyntaxError):
+            where = f" (line {tree.lineno})" if tree.lineno else ""
             return CellIR(self.cell_id, source, (), frozenset(),
-                          (), (f"syntax error: {tree.msg} (line {tree.lineno})",))
+                          (), (f"syntax error: {tree.msg}{where}",))
         statements = self.translate_body(tree.body)
         exports = tuple(
             (base, name) for base, name in self.cur.items()
@@ -787,11 +788,15 @@ class _Translator:
 
 
 def _parse_cell(source: str) -> ast.Module | SyntaxError:
-    """The cell's syntax tree, or the error that stopped its parse."""
+    """The cell's syntax tree, or the error that stopped its parse.  A cell
+    nested too deeply for the parser counts as a syntax error: Python
+    cannot run it either."""
     try:
         return ast.parse(source)
     except SyntaxError as e:
         return e
+    except RecursionError as e:
+        return SyntaxError(str(e))
 
 
 def translate_cell(source: str, kb: KnowledgeBase | None = None,
@@ -802,8 +807,13 @@ def translate_cell(source: str, kb: KnowledgeBase | None = None,
     already parsed it."""
     if tree is None:
         tree = _parse_cell(source)
-    return _Translator(kb or default_kb(), dict(defs or {}), cell_id,
-                       imports).translate(source, tree)
+    try:
+        return _Translator(kb or default_kb(), dict(defs or {}), cell_id,
+                           imports).translate(source, tree)
+    except RecursionError:
+        # Dropping a cell Python can run would be unsound.
+        raise NotebookError(
+            f"cell {cell_id}: expression nested too deeply to translate") from None
 
 
 # ---------------------------------------------------------------------------
@@ -837,6 +847,23 @@ def _code_cells(data: bytes) -> list[str]:
     return out
 
 
+# The fields that hold statement lists, in the order of every node's
+# ``_fields``: ``Try`` lists ``handlers`` before ``orelse``.
+_BLOCKS = ("body", "handlers", "orelse", "finalbody", "cases")
+
+
+def _statements(tree: ast.Module) -> list[ast.AST]:
+    """The tree's nodes that are statements or hold statements (the module,
+    except handlers, match cases), in ``ast.walk``'s breadth-first order.
+    Statements never nest inside an expression, so no expression is
+    visited."""
+    todo = [tree]
+    for node in todo:
+        for name in _BLOCKS:
+            todo.extend(getattr(node, name, ()))
+    return todo
+
+
 def load_notebook(data: bytes, kb: KnowledgeBase | None = None) -> Notebook:
     """Parse an .ipynb document and translate its code cells in order.
 
@@ -852,7 +879,7 @@ def load_notebook(data: bytes, kb: KnowledgeBase | None = None) -> Notebook:
         tree = _parse_cell(src)
         imports = (dict(mods), dict(froms))
         if not isinstance(tree, SyntaxError):
-            for node in ast.walk(tree):
+            for node in _statements(tree):
                 if isinstance(node, ast.FunctionDef):
                     defs[node.name] = node
                 elif isinstance(node, (ast.Import, ast.ImportFrom)):

@@ -1,6 +1,7 @@
 import ast
 import json
 import re
+import sys
 
 import pytest
 
@@ -25,6 +26,7 @@ from dlcheck.notebook import (
     NotebookError,
     cell_precondition,
     default_kb,
+    _statements,
     load_notebook,
     translate_cell,
 )
@@ -316,6 +318,115 @@ def test_load_parses_each_code_cell_once(monkeypatch):
         "def broken(:",
     ], markdown=["# title"]))
     assert len(calls) == 4
+
+
+# Definitions and imports nested in every kind of statement list.
+NESTED_SOURCES = [
+    "if c:\n    def f(d):\n        return d.dropna()\nelse:\n"
+    "    import numpy as np\n    def f(d):\n        return d.head()\ny = f(x)",
+    "for i in r:\n    import numpy as np\nelse:\n    from pandas import concat\n"
+    "    def f(d):\n        return d\ny = f(x)",
+    "while c:\n    def f(d):\n        return d.dropna()\nelse:\n"
+    "    if c:\n        import pandas as pd\n    def f(d):\n        return d.fillna(0)",
+    "try:\n    import pandas as pd\n    def f(d):\n        return d.dropna()\n"
+    "except ImportError as e:\n    def f(d):\n        return d.head()\n"
+    "except (KeyError, ValueError):\n    from pandas import concat\n"
+    "else:\n    if c:\n        def f(d):\n            return d.tail()\n"
+    "finally:\n    for i in r:\n        def f(d):\n            return d.abs()\n"
+    "    def f(d):\n        return d.copy()\ny = f(x)",
+    "with open(p) as h, open(q) as k:\n    from pandas import concat as cc\n"
+    "    def g(d):\n        return cc([d, d])\ny = g(x)",
+    "match v:\n    case 1 if w:\n        def f(d):\n            return d.dropna()\n"
+    "    case [a, *rest]:\n        import pandas as pd\n    case _:\n"
+    "        def f(d):\n            return d.head()\ny = f(x)",
+    "class C(Base):\n    import pandas as pd\n    def f(self, d):\n        return d\n"
+    "    class D:\n        def f(self):\n            import numpy\n"
+    "def f(d):\n    return d.tail()\ny = f(x)",
+    "def outer(d):\n    import pandas as pd\n    def f(e):\n        return e.dropna()\n"
+    "    if d:\n        def f(e):\n            return e\n    return f(d)\n"
+    "def f(d):\n    return d.head()\ny = outer(x)\nz = f(x)",
+    "async def f(d):\n    async with s:\n        import pandas as pd\n"
+    "    async for i in r:\n        def g(e):\n            return e\n    else:\n"
+    "        from numpy import sum\n    return d\n"
+    "h = lambda: [i for i in x if i]\ny = f(x) if c else {k: v for k, v in z}",
+]
+if sys.version_info >= (3, 11):
+    NESTED_SOURCES.append(
+        "try:\n    import pandas as pd\nexcept* ValueError:\n    def f(d):\n"
+        "        return d.head()\nelse:\n    if c:\n        def f(d):\n"
+        "            return d.tail()\nfinally:\n    from numpy import sum")
+
+
+def _prescan_nodes(nodes):
+    return [n for n in nodes
+            if isinstance(n, (ast.FunctionDef, ast.Import, ast.ImportFrom))]
+
+
+def test_statement_walk_meets_definitions_and_imports_in_ast_walk_order():
+    sources = list(NESTED_SOURCES)
+    for _name, data in corpus_cases():
+        sources += ["".join(c["source"]) for c in json.loads(data)["cells"]
+                    if c["cell_type"] == "code"]
+    met = 0
+    for src in sources:
+        tree = ast.parse(src)
+        expected = _prescan_nodes(ast.walk(tree))
+        assert _prescan_nodes(_statements(tree)) == expected, src
+        met += len(expected)
+    assert met > 60
+
+
+@pytest.mark.parametrize("else_arm, inlined", [
+    # One level deeper than the handler's definition: breadth-first order
+    # meets the handler first, so the else arm's definition is the last.
+    ("    if ok:\n        def f(d):\n            return d.dropna()\n", "dropna"),
+    # On the handler's level: met before the handler's body, so the
+    # handler's definition is the last.
+    ("    def f(d):\n        return d.dropna()\n", "head"),
+], ids=["else-arm-nested", "else-arm-direct"])
+def test_load_keeps_the_last_definition_in_breadth_first_order(else_arm, inlined):
+    nb = load_notebook(notebook_bytes([
+        "try:\n    import pandas as pd\nexcept ImportError:\n"
+        "    def f(d):\n        return d.head()\nelse:\n" + else_arm,
+        "y = f(x)",
+    ]))
+    assert nb.cells[1].statements == (Apply("y", inlined, "x"),)
+
+
+def test_load_visits_no_expression_node(monkeypatch):
+    """The definition and import prescan walks statements only: a cell
+    holding a 5,000-element list literal costs no generic tree walk."""
+    calls = []
+    for name in ("walk", "iter_child_nodes"):
+        real = getattr(ast, name)
+        monkeypatch.setattr(
+            ast, name, lambda *a, real=real, **k: calls.append(1) or real(*a, **k))
+    nb = load_notebook(notebook_bytes([
+        "import pandas as pd",
+        "xs = [" + ", ".join(["0"] * 5000) + "]\ndf = pd.read_csv('a.csv')",
+    ]))
+    assert nb.cells[1].statements == (Read("df", "a.csv"),)
+    assert calls == []
+
+
+def test_cell_too_deep_to_parse_is_a_syntax_error():
+    nb = load_notebook(notebook_bytes([
+        "import pandas as pd\ndf = pd.read_csv('a.csv')",
+        "x = " + "-" * 5000 + "1",
+        "y = df.dropna()",
+    ]))
+    assert nb.cells[1].statements == ()
+    assert nb.cells[1].warnings == (
+        "syntax error: maximum recursion depth exceeded during ast construction",)
+    assert nb.cells[2].statements == (Apply("y", "dropna", "df"),)
+
+
+def test_cell_too_deep_to_translate_names_the_cell():
+    with pytest.raises(NotebookError, match=r"^cell 2: expression nested too deeply"):
+        load_notebook(notebook_bytes([
+            "import pandas as pd\ndf = pd.read_csv('a.csv')",
+            "x = df" + " + 0" * 1000,
+        ]))
 
 
 def test_never_defined_function_is_unknown():

@@ -214,6 +214,38 @@ def test_corpus_scores_the_rest_past_a_malformed_notebook(tmp_path):
     assert good.error is None and good.tp == 1
 
 
+DEEP_CELL = "x = df" + " + 0" * 1000
+
+
+def test_cli_analyze_names_a_cell_too_deep_to_translate(tmp_path, capsys):
+    nb = tmp_path / "nb.ipynb"
+    nb.write_bytes(notebook_bytes(["df = pd.read_csv('d.csv')", DEEP_CELL]))
+    assert main(["analyze", str(nb)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: cell 2: expression nested too deeply to translate\n"
+
+
+def test_cli_corpus_scores_the_rest_past_a_cell_too_deep_to_translate(
+        tmp_path, capsys):
+    (tmp_path / "deep.ipynb").write_bytes(notebook_bytes(
+        ["import pandas as pd\ndf = pd.read_csv('d.csv')", DEEP_CELL]))
+    (tmp_path / "good.ipynb").write_bytes(notebook_bytes([
+        "import pandas as pd\ndf = pd.read_csv('d.csv')",
+        "tr = df.iloc[:10]\nte = df.iloc[5:]\nm.fit(tr)\nm.predict(te)",
+    ]))
+    (tmp_path / "labels.json").write_text(json.dumps([
+        {"notebook": "deep.ipynb", "expected": []},
+        {"notebook": "good.ipynb",
+         "expected": [{"kind": "overlap", "train_var": "tr", "test_var": "te"}]},
+    ]))
+    assert main(["corpus", str(tmp_path), "--format", "json"]) == 2
+    deep, good = json.loads(capsys.readouterr().out)["rows"]
+    assert deep["notebook"] == "deep.ipynb"
+    assert deep["error"] == "cell 2: expression nested too deeply to translate"
+    assert good["error"] is None and good["tp"] == 1
+
+
 @pytest.mark.parametrize("doc, message", [
     ({}, "labels: not a list of entries"),
     ([5], "labels[0] is not an object"),
