@@ -795,8 +795,8 @@ def _parse_cell(source: str) -> ast.Module | SyntaxError:
         return ast.parse(source)
     except SyntaxError as e:
         return e
-    except RecursionError as e:
-        return SyntaxError(str(e))
+    except RecursionError:
+        return SyntaxError("nested too deeply to parse")
 
 
 def translate_cell(source: str, kb: KnowledgeBase | None = None,

@@ -10,8 +10,14 @@ and the diff of the file names the notebooks whose IR changed."""
 import dataclasses
 import hashlib
 import json
-import sys
 from pathlib import Path
+
+from conftest import corpus_cases
+from test_engine_equivalence import INPUTS
+from test_notebook import NESTED_SOURCES
+
+from dlcheck.corpus import notebook_bytes
+from dlcheck.notebook import load_notebook
 
 DIGESTS = Path(__file__).with_name("ir_digests.json")
 
@@ -31,7 +37,6 @@ def canonical(x):
 
 
 def ir_digest(data: bytes) -> str:
-    from dlcheck.notebook import load_notebook
     text = json.dumps(canonical(load_notebook(data)), separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
@@ -40,10 +45,6 @@ def notebooks() -> dict[str, bytes]:
     """The corpus notebooks by file name, then each other group of
     ``test_engine_equivalence.INPUTS`` and the nested definition sources of
     ``test_notebook`` by position."""
-    from conftest import corpus_cases
-    from dlcheck.corpus import notebook_bytes
-    from test_engine_equivalence import INPUTS
-    from test_notebook import NESTED_SOURCES
     out = {f"corpus/{name}": data for name, data in corpus_cases()}
     groups = {g: INPUTS[g] for g in sorted(INPUTS) if g != "corpus"}
     groups["nested"] = [notebook_bytes([s]) for s in NESTED_SOURCES]
@@ -61,7 +62,6 @@ def test_translated_ir_is_unchanged():
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(Path(__file__).parent))
     digests = {name: ir_digest(data) for name, data in notebooks().items()}
     DIGESTS.write_text(json.dumps(digests, indent=0) + "\n")
     print(f"{DIGESTS.name}: {len(digests)} notebooks")

@@ -24,9 +24,9 @@ from dlcheck.lang import (
 from dlcheck.notebook import (
     KnowledgeBase,
     NotebookError,
+    _statements,
     cell_precondition,
     default_kb,
-    _statements,
     load_notebook,
     translate_cell,
 )
@@ -416,8 +416,7 @@ def test_cell_too_deep_to_parse_is_a_syntax_error():
         "y = df.dropna()",
     ]))
     assert nb.cells[1].statements == ()
-    assert nb.cells[1].warnings == (
-        "syntax error: maximum recursion depth exceeded during ast construction",)
+    assert nb.cells[1].warnings == ("syntax error: nested too deeply to parse",)
     assert nb.cells[2].statements == (Apply("y", "dropna", "df"),)
 
 
