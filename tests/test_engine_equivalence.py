@@ -1,6 +1,7 @@
 """Differential tests of the engine against the plain depth-first search it
-replaced: relevance slicing, the successor index and the expansion memo
-must not change any finding, witness trace or warning."""
+replaced: relevance slicing, the successor index, the expansion memo and
+the statement-value cache must not change any finding, witness trace or
+warning."""
 
 import random
 
@@ -17,9 +18,30 @@ from dlcheck.engine import (
     analyze_notebook,
     valid_starts,
 )
-from dlcheck.interp import BOT_STATE
-from dlcheck.lang import Read, Select, Use
+from dlcheck.interp import BOT_STATE, AnalysisError, check_leakage
+from dlcheck.lang import Read, Select, Use, stmt_uses
 from dlcheck.notebook import CellIR, Notebook, load_notebook
+
+
+def reference_run_cell(cell, state, halt, warnings):
+    """Analyze one cell by running ``transfer`` on every statement; returns
+    (state, findings, halted).  It shares no cache with the engine."""
+    findings = []
+    for s in cell.statements:
+        try:
+            state = engine.transfer(s, state)
+        except AnalysisError as e:
+            warnings.append(f"cell {cell.id}: {e}")
+            continue
+        uses = stmt_uses(s)
+        if uses:
+            hits = check_leakage(state, uses)
+            if hits:
+                if halt:
+                    findings.append(hits[0])
+                    return engine._export(cell, state), findings, True
+                findings.extend(hits)
+    return engine._export(cell, state), findings, False
 
 
 def reference_propagate(nb, start, cfg, warnings, records):
@@ -34,8 +56,8 @@ def reference_propagate(nb, start, cfg, warnings, records):
             return
         seen[cell.id].append(state_in)
         try:
-            state, new, halted = engine._run_cell(cell, state_in,
-                                                  cfg.halt_on_finding, warnings)
+            state, new, halted = reference_run_cell(cell, state_in,
+                                                    cfg.halt_on_finding, warnings)
             path = path + (cell.id,)
             findings = findings + tuple(new)
             records.extend(FindingRecord(f, path) for f in new)
@@ -181,6 +203,38 @@ USE_ORDER = notebook_bytes([
     "y = p.iloc[5:9]\nm.predict(y)\nw = q.dropna()",
 ])
 
+def windows_notebook(seed):
+    """``pd.concat`` of row windows of one file, each gapped from or
+    Python-adjacent to the one before, then a test slice inside a window, in
+    a gap or past the last window.  Some notebooks rebind ``df`` to a slice
+    or to a gapped selection, so the concat cell runs again on other
+    inputs, aligned or not."""
+    rng = random.Random(seed)
+    windows, pos = [], rng.randint(0, 20)
+    for _ in range(rng.randint(2, 6)):
+        width = rng.randint(3, 15)
+        windows.append((pos, pos + width))
+        pos += width + rng.choice((0, rng.randint(2, 10)))
+    gaps = [(a + 1, b - 1) for (_, a), (b, _) in zip(windows, windows[1:])
+            if b > a + 1]
+    where = rng.choice(("window", "gap", "past"))
+    if where == "window":
+        lo, hi = rng.choice(windows)
+        test = (lo + 1, hi)
+    elif where == "gap" and gaps:
+        test = rng.choice(gaps)
+    else:
+        test = (pos + 5, pos + 5 + rng.randint(1, 30))
+    parts = ", ".join(f"df.iloc[{a}:{b}]" for a, b in windows)
+    cells = [f'{IMPORTS}\ndf = pd.read_csv("f.csv")',
+             f"w = pd.concat([{parts}])",
+             f"te = df.iloc[{test[0]}:{test[1]}]\nm.fit(w)\nm.predict(te)"]
+    rebind = rng.choice((None, "df.iloc[5:]", "df.iloc[[0, 3, 7]]"))
+    if rebind:
+        cells.insert(2, f"df = {rebind}")
+    return notebook_bytes(cells)
+
+
 INPUTS = {
     "corpus": [data for _name, data in corpus_cases()],
     "orders": [USE_ORDER],
@@ -190,6 +244,7 @@ INPUTS = {
     "synthetic": [synthetic_notebook(50)],
     **{f"dense{i}": [dense_notebook(s) for s in range(i * 60, i * 60 + 60)]
        for i in range(5)},
+    "windows": [windows_notebook(s) for s in range(24)],
 }
 
 
