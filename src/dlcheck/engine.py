@@ -28,6 +28,15 @@ search from re-expanding a state that commuting cells reach in several
 orders; it only keeps expansions that did not depend on the branch they
 were made on (see ``propagate``), so the findings and their witness
 traces are the ones a full search reports.
+
+Each event also caches the values its ``Select`` and ``Merge`` statements
+bind.  Branches run the same cells again, often on the same inputs, and
+these two are the costly transfers (frame-set constraint and reduction).
+The value a statement binds depends only on the statement and on the
+values of its sources, and for a ``Select`` on whether its source is
+aligned, so those form the key, and a hit binds the stored value and
+alignment instead of running ``transfer`` again.  Every other statement,
+and any statement that fails, goes through ``transfer`` each time.
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+from .domains import SourceAbs
 from .interp import (
     AbstractState,
     AnalysisError,
@@ -44,7 +54,7 @@ from .interp import (
     state_leq,
     transfer,
 )
-from .lang import stmt_uses
+from .lang import Merge, Select, stmt_uses
 from .notebook import CellIR, Notebook
 
 
@@ -102,14 +112,32 @@ def successors(nb: Notebook, state: AbstractState, live: frozenset[str],
     return out
 
 
-def _run_cell(cell: CellIR, state: AbstractState, halt: bool, warnings: list):
-    """Analyze one cell; returns (state, findings, halted)."""
+def _run_cell(cell: CellIR, state: AbstractState, halt: bool, warnings: list,
+              values: dict):
+    """Analyze one cell; returns (state, findings, halted).  ``values`` maps
+    a ``Select`` or ``Merge`` and its inputs to the value and alignment it
+    binds (see the module docstring)."""
     findings: list[Finding] = []
     for s in cell.statements:
+        kind = type(s)
+        if kind is Select:
+            key = (id(s), state.env.get(s.source), s.source in state.aligned)
+        elif kind is Merge:
+            key = (id(s), state.env.get(s.left), state.env.get(s.right))
+        else:
+            key = None
+        if key is not None:
+            hit = values.get(key)
+            if hit is not None:
+                state = state.bind(s.target, *hit)
+                continue
         try:
             state = transfer(s, state)
         except AnalysisError as e:
             warnings.append(f"cell {cell.id}: {e}")
+            continue
+        if key is not None:
+            values[key] = state.env[s.target], s.target in state.aligned
             continue
         uses = stmt_uses(s)
         if uses:
@@ -168,6 +196,9 @@ def propagate(nb: Notebook, start: int, cfg: PropagationConfig | None = None,
     # shorter.
     memo: dict[tuple, int] = {}
     cache: dict[frozenset[str], tuple[int, ...]] = {}
+    # (statement id, its inputs) -> (value, aligned); statement ids are
+    # stable while ``nb`` holds the statements.
+    values: dict[tuple, tuple[SourceAbs, bool]] = {}
     traces: list[ExecutionTrace] = []
     unhit = float("inf")
 
@@ -186,7 +217,7 @@ def propagate(nb: Notebook, start: int, cfg: PropagationConfig | None = None,
         seen[cell.id].append((state_in, depth))
         try:
             state, new, halted = _run_cell(cell, state_in, cfg.halt_on_finding,
-                                           warnings)
+                                           warnings, values)
             findings = findings + tuple(new)
             if records is not None:
                 records.extend(FindingRecord(f, path) for f in new)

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import corpus_cases
 
-from dlcheck import engine
+from dlcheck import engine, interp
 from dlcheck.corpus import notebook_bytes, synthetic_notebook
 from dlcheck.engine import (
     ExecutionTrace,
@@ -19,7 +19,7 @@ from dlcheck.engine import (
     valid_starts,
 )
 from dlcheck.interp import BOT_STATE, AnalysisError, check_leakage
-from dlcheck.lang import Read, Select, Use, stmt_uses
+from dlcheck.lang import Merge, Read, Select, Use, stmt_uses
 from dlcheck.notebook import CellIR, Notebook, load_notebook
 
 
@@ -353,3 +353,54 @@ def test_failing_statement_warns_once():
     assert len(raw) > 1 and len(set(raw)) == 1
     assert analyze_notebook(nb).warnings == raw[:1]
     assert reference_analyze(nb, PropagationConfig(k_bound=5))[1] == raw[:1]
+
+
+def test_alignment_and_both_merge_operands_key_the_value_cache():
+    """Cells 2 and 3 bind ``a`` to the same frame, aligned and not, so the
+    select in cell 4 narrows only after cell 2.  The concat's left operand
+    is the same on every branch; only its right operand differs."""
+    nb = load_notebook(notebook_bytes([
+        f'{IMPORTS}\ndf = pd.read_csv("f.csv")\nx = df.iloc[0:3]\nt = df.iloc[5:9]',
+        "a = df.iloc[0:10]",
+        "a = df.iloc[[0, 10]]",
+        "b = a.iloc[2:4]\nc = pd.concat([x, b])\nm.fit(b)\nm.fit(c)\nm.predict(t)",
+    ]))
+    cfg = PropagationConfig(k_bound=5, halt_on_finding=False)
+    findings, warnings = _analyze(nb, cfg)
+    assert (findings, warnings) == reference_analyze(nb, cfg)
+    assert [(key, trace) for key, *_, trace in findings] == [
+        (("overlap", "b", "t"), (1, 3, 4)), (("overlap", "c", "t"), (1, 3, 4))]
+
+
+def test_rerun_concat_cell_makes_no_further_set_join(monkeypatch):
+    """A three-cell windows notebook at K=5 with halt-on-finding off: the
+    concat cell runs again on later branches with the inputs it had, so one
+    search joins once per distinct merge input."""
+    nb = load_notebook(notebook_bytes([
+        f'{IMPORTS}\ndf = pd.read_csv("f.csv")',
+        "w = pd.concat([df.iloc[0:10], df.iloc[20:30], df.iloc[30:45], df.iloc[60:70]])",
+        "te = df.iloc[40:50]\nm.fit(w)\nm.predict(te)",
+    ]))
+    cfg = PropagationConfig(k_bound=5, halt_on_finding=False)
+    inputs = set()
+    transfer = engine.transfer
+
+    def recorded(s, m):
+        if isinstance(s, Merge):
+            inputs.add((id(s), m.env[s.left], m.env[s.right]))
+        return transfer(s, m)
+
+    set_join = interp.set_join
+    calls = 0
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return set_join(a, b)
+
+    monkeypatch.setattr(engine, "transfer", recorded)
+    monkeypatch.setattr(interp, "set_join", counted)
+    reference_propagate(nb, 1, cfg, [], [])
+    reference_calls, calls = calls, 0
+    engine.propagate(nb, 1, cfg)
+    assert reference_calls > calls == len(inputs) == 3
