@@ -583,7 +583,8 @@ class _Translator:
             return self.chain(operands[:1], target, "unknown") if operands else None
         fdef = self.defs[name]
         arg_vals = [self.eval_expr(a, allow_unbound_df=True) for a in node.args]
-        saved = dict(self.cur)
+        # A definition in the body is local to the call.
+        saved, saved_defs = dict(self.cur), dict(self.defs)
         self.inline_stack.append(name)
         self.cur = {}
         for p, v in zip(fdef.args.args, arg_vals):
@@ -598,7 +599,7 @@ class _Translator:
                 break
             self.translate_stmt(stmt)
         self.inline_stack.pop()
-        self.cur = saved
+        self.cur, self.defs = saved, saved_defs
         return result
 
     # -- statements -----------------------------------------------------------
@@ -850,25 +851,32 @@ def _code_cells(data: bytes) -> list[str]:
 # The fields that hold statement lists, in the order of every node's
 # ``_fields``: ``Try`` lists ``handlers`` before ``orelse``.
 _BLOCKS = ("body", "handlers", "orelse", "finalbody", "cases")
+# Statements whose body is a scope of its own.
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def _statements(tree: ast.Module) -> list[ast.AST]:
+def _statements(tree: ast.Module, scopes: bool = True) -> list[ast.AST]:
     """The tree's nodes that are statements or hold statements (the module,
     except handlers, match cases), in ``ast.walk``'s breadth-first order.
     Statements never nest inside an expression, so no expression is
-    visited."""
+    visited.  With ``scopes`` false, the bodies of functions and classes
+    are not entered, so only statements that run in the module's scope are
+    met."""
     todo = [tree]
     for node in todo:
-        for name in _BLOCKS:
-            todo.extend(getattr(node, name, ()))
+        if scopes or not isinstance(node, _SCOPES):
+            for name in _BLOCKS:
+                todo.extend(getattr(node, name, ()))
     return todo
 
 
 def load_notebook(data: bytes, kb: KnowledgeBase | None = None) -> Notebook:
     """Parse an .ipynb document and translate its code cells in order.
 
-    Each cell sees the import aliases of the cells before it and the
-    function definitions of those cells and its own, at any depth.
+    Each cell sees the import aliases of the cells before it, and the
+    function definitions of those cells and its own that bind a name in the
+    module's scope: at any depth of compound statements, but not inside a
+    function or class body.
     """
     kb = kb or default_kb()
     defs: dict[str, ast.FunctionDef] = {}
@@ -879,10 +887,11 @@ def load_notebook(data: bytes, kb: KnowledgeBase | None = None) -> Notebook:
         tree = _parse_cell(src)
         imports = (dict(mods), dict(froms))
         if not isinstance(tree, SyntaxError):
-            for node in _statements(tree):
+            for node in _statements(tree, scopes=False):
                 if isinstance(node, ast.FunctionDef):
                     defs[node.name] = node
-                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for node in _statements(tree):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
                     _record_import(node, mods, froms)
         cells.append(translate_cell(src, kb, defs=defs, cell_id=i,
                                     imports=imports, tree=tree))

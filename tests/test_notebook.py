@@ -8,6 +8,7 @@ import pytest
 from conftest import corpus_cases
 
 from dlcheck.corpus import notebook_bytes
+from dlcheck.engine import analyze_notebook
 from dlcheck.lang import (
     Apply,
     Branch,
@@ -391,6 +392,32 @@ def test_load_keeps_the_last_definition_in_breadth_first_order(else_arm, inlined
         "y = f(x)",
     ]))
     assert nb.cells[1].statements == (Apply("y", inlined, "x"),)
+
+
+SHADOW_PREFIX = [
+    "import pandas as pd\nfrom sklearn.model_selection import train_test_split\n"
+    "from sklearn.preprocessing import StandardScaler\ndf = pd.read_csv('a.csv')",
+    "def prep(d):\n    return StandardScaler().fit_transform(d)",
+]
+SPLIT_FIT_PREDICT = "tr, te = train_test_split(z)\nm.fit(tr)\nm.predict(te)"
+
+
+@pytest.mark.parametrize("cells", [
+    ["def report(d):\n    def prep(e):\n        return e\n    return prep(d)",
+     "z = prep(df)\n" + SPLIT_FIT_PREDICT],
+    ["class Report:\n    def prep(self, e):\n        return e",
+     "z = prep(df)\n" + SPLIT_FIT_PREDICT],
+    ["def report(d):\n    def prep(e):\n        return e\n    return prep(d)\n"
+     "r = report(df)\nz = prep(df)\n" + SPLIT_FIT_PREDICT],
+], ids=["function-body", "class-body", "same-cell-after-a-call"])
+def test_nested_definition_does_not_shadow_a_module_function(cells):
+    """A ``prep`` defined in a function or class body is local to it: later
+    cells, and the rest of its own cell after a call, still call the
+    module-level scaler ``prep``."""
+    nb = load_notebook(notebook_bytes(SHADOW_PREFIX + cells))
+    assert Apply("z", "normalize", "df") in nb.cells[-1].statements
+    assert [r.finding.key for r in analyze_notebook(nb).findings] == [
+        ("taint", "tr", "te")]
 
 
 def test_load_visits_no_expression_node(monkeypatch):
