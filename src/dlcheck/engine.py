@@ -44,7 +44,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .domains import SourceAbs
 from .interp import (
     AbstractState,
     AnalysisError,
@@ -198,7 +197,7 @@ def propagate(nb: Notebook, start: int, cfg: PropagationConfig | None = None,
     cache: dict[frozenset[str], tuple[int, ...]] = {}
     # (statement id, its inputs) -> (value, aligned); statement ids are
     # stable while ``nb`` holds the statements.
-    values: dict[tuple, tuple[SourceAbs, bool]] = {}
+    values: dict[tuple, tuple] = {}
     traces: list[ExecutionTrace] = []
     unhit = float("inf")
 

@@ -203,6 +203,7 @@ USE_ORDER = notebook_bytes([
     "y = p.iloc[5:9]\nm.predict(y)\nw = q.dropna()",
 ])
 
+
 def windows_notebook(seed):
     """``pd.concat`` of row windows of one file, each gapped from or
     Python-adjacent to the one before, then a test slice inside a window, in
