@@ -4,7 +4,7 @@ The stack, bottom-up: column abstractions (finite label sets plus a top
 element), row intervals over the naturals with possibly-symbolic bounds,
 per-file abstract frames, canonical sets of pairwise non-overlapping
 frames, and the source abstraction that pairs a frame set with a taint
-flag.
+flag and a positional-alignment flag.
 
 Symbolic bounds make comparisons three-valued.  Unknown comparisons are
 resolved conservatively: overlap tests answer "may overlap", join bounds
@@ -422,13 +422,20 @@ def set_constrain(frames, c: ColumnAbs, ij: RowInterval) -> frozenset[AbsDataFra
 
 
 # ---------------------------------------------------------------------------
-# Source abstraction (frame set + taint)
+# Source abstraction (frame set + taint + alignment)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class SourceAbs:
+    """A frame set, whether its rows may be cross-correlated by a whole-set
+    transformation (``tainted``), and whether it is positionally aligned: a
+    single frame whose interval tracks the source rows in order, so that a
+    row selection may narrow it.  Neither the string form nor the JSON
+    dump shows the alignment flag."""
+
     frames: frozenset[AbsDataFrame] = frozenset()
     tainted: bool = False
+    aligned: bool = False
 
     def __str__(self) -> str:
         inner = ", ".join(str(f) for f in ordered_frames(self.frames))
@@ -440,10 +447,14 @@ BOT_SOURCE = SourceAbs()
 
 
 def src_leq(a: SourceAbs, b: SourceAbs) -> bool:
+    """Frames and taint only: ``interp.state_leq`` compares alignment."""
     return set_leq(a.frames, b.frames) and a.tainted <= b.tainted
 
 
 def src_join(a: SourceAbs, b: SourceAbs) -> SourceAbs:
+    """The join is aligned only when both operands are aligned and equal."""
+    if a == b:
+        return a
     return SourceAbs(set_join(a.frames, b.frames), a.tainted or b.tainted)
 
 

@@ -33,9 +33,8 @@ Each event also caches the values its ``Select`` and ``Merge`` statements
 bind.  Branches run the same cells again, often on the same inputs, and
 these two are the costly transfers (frame-set constraint and reduction).
 The value a statement binds depends only on the statement and on the
-values of its sources, and for a ``Select`` on whether its source is
-aligned, so those form the key, and a hit binds the stored value and
-alignment instead of running ``transfer`` again.  Every other statement,
+values of its sources, so those form the key, and a hit binds the stored
+value instead of running ``transfer`` again.  Every other statement,
 and any statement that fails, goes through ``transfer`` each time.
 """
 
@@ -44,6 +43,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+from .domains import SourceAbs
 from .interp import (
     AbstractState,
     AnalysisError,
@@ -114,13 +114,13 @@ def successors(nb: Notebook, state: AbstractState, live: frozenset[str],
 def _run_cell(cell: CellIR, state: AbstractState, halt: bool, warnings: list,
               values: dict):
     """Analyze one cell; returns (state, findings, halted).  ``values`` maps
-    a ``Select`` or ``Merge`` and its inputs to the value and alignment it
-    binds (see the module docstring)."""
+    a ``Select`` or ``Merge`` and its inputs to the value it binds (see the
+    module docstring)."""
     findings: list[Finding] = []
     for s in cell.statements:
         kind = type(s)
         if kind is Select:
-            key = (id(s), state.env.get(s.source), s.source in state.aligned)
+            key = (id(s), state.env.get(s.source))
         elif kind is Merge:
             key = (id(s), state.env.get(s.left), state.env.get(s.right))
         else:
@@ -128,7 +128,7 @@ def _run_cell(cell: CellIR, state: AbstractState, halt: bool, warnings: list,
         if key is not None:
             hit = values.get(key)
             if hit is not None:
-                state = state.bind(s.target, *hit)
+                state = state.bind(s.target, hit)
                 continue
         try:
             state = transfer(s, state)
@@ -136,7 +136,7 @@ def _run_cell(cell: CellIR, state: AbstractState, halt: bool, warnings: list,
             warnings.append(f"cell {cell.id}: {e}")
             continue
         if key is not None:
-            values[key] = state.env[s.target], s.target in state.aligned
+            values[key] = state.env[s.target]
             continue
         uses = stmt_uses(s)
         if uses:
@@ -154,7 +154,7 @@ def _export(cell: CellIR, state: AbstractState) -> AbstractState:
     can bind it."""
     for base, final in cell.exports:
         if final in state.env and final != base:
-            state = state.bind(base, state.env[final], final in state.aligned)
+            state = state.bind(base, state.env[final])
     return state
 
 
@@ -195,9 +195,9 @@ def propagate(nb: Notebook, start: int, cfg: PropagationConfig | None = None,
     # shorter.
     memo: dict[tuple, int] = {}
     cache: dict[frozenset[str], tuple[int, ...]] = {}
-    # (statement id, its inputs) -> (value, aligned); statement ids are
-    # stable while ``nb`` holds the statements.
-    values: dict[tuple, tuple] = {}
+    # (statement id, its inputs) -> value; statement ids are stable while
+    # ``nb`` holds the statements.
+    values: dict[tuple, SourceAbs] = {}
     traces: list[ExecutionTrace] = []
     unhit = float("inf")
 
@@ -223,12 +223,7 @@ def propagate(nb: Notebook, start: int, cfg: PropagationConfig | None = None,
             if halted:
                 traces.append(ExecutionTrace(path, findings, "halted-on-finding"))
                 return unhit
-            live = parent[0]
-            bound = nb.binds[cell.id]
-            if bound:
-                env = state.env
-                live = live.difference(bound).union(
-                    v for v in bound if v in env and env[v].frames)
+            live = frozenset(v for v, a in state.env.items() if a.frames)
             candidates = successors(nb, state, live, cache, parent)
             if not candidates:
                 traces.append(ExecutionTrace(path, findings, "no-valid-successor"))
@@ -237,7 +232,7 @@ def propagate(nb: Notebook, start: int, cfg: PropagationConfig | None = None,
                 traces.append(ExecutionTrace(path, findings, "bound"))
                 return unhit
             key = (frozenset(state.env.items()), state.train_uses,
-                   state.test_uses, state.aligned)
+                   state.test_uses)
             if memo.get(key, depth + 1) <= depth:
                 traces.append(ExecutionTrace(path, findings, "subsumed"))
                 return unhit

@@ -1,18 +1,20 @@
 """Abstract interpreter: per-statement transfer functions over provenance
 states, the train/test leakage check, and the whole-program driver.
 
-A state maps each variable to a source abstraction (canonical frame set +
-taint flag) and records which variables reached train/test uses.  The
-select rule only narrows row intervals when the source is untainted *and*
-positionally aligned: a frame set is aligned when it is a single frame
-whose interval tracks the source rows in order (reads, and contiguous
-selections thereof).  Merges, gapped selections and normalization break
-alignment, and narrowing through them would drop real dependencies.
+A state maps each variable to a source abstraction (canonical frame set,
+taint flag and alignment flag) and records which variables reached
+train/test uses.  The select rule only narrows row intervals when the
+source is untainted *and* positionally aligned: a value is aligned when it
+is a single frame whose interval tracks the source rows in order (reads,
+and contiguous selections thereof).  Merges, gapped selections and
+normalization break alignment, and narrowing through them would drop real
+dependencies.  Alignment travels with the value, so binding, joining and
+comparing values carries it; only ``state_leq`` and ``widen_state`` treat
+it apart from the frames.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 
 from .domains import (
@@ -64,21 +66,19 @@ class AbstractState:
     env: dict[str, SourceAbs] = field(default_factory=dict)
     train_uses: tuple[tuple[str, str | None], ...] = ()
     test_uses: tuple[tuple[str, str | None], ...] = ()
-    aligned: frozenset[str] = frozenset()
 
-    def bind(self, var: str, value: SourceAbs, aligned: bool) -> "AbstractState":
+    def bind(self, var: str, value: SourceAbs) -> "AbstractState":
         env = dict(self.env)
         env[var] = value
-        al = self.aligned | {var} if aligned else self.aligned - {var}
-        return AbstractState(env, self.train_uses, self.test_uses, al)
+        return AbstractState(env, self.train_uses, self.test_uses)
 
     def record_use(self, kind: str, args, site) -> "AbstractState":
         uses = self.train_uses if kind == "train" else self.test_uses
         new = tuple(u for u in ((a, site) for a in args) if u not in uses)
         uses = uses + new
         if kind == "train":
-            return AbstractState(self.env, uses, self.test_uses, self.aligned)
-        return AbstractState(self.env, self.train_uses, uses, self.aligned)
+            return AbstractState(self.env, uses, self.test_uses)
+        return AbstractState(self.env, self.train_uses, uses)
 
 
 BOT_STATE = AbstractState()
@@ -88,39 +88,26 @@ def state_leq(a: AbstractState, b: AbstractState) -> bool:
     """Pointwise order used for fixpoints and subsumption pruning.
 
     Requires b to be at least as wide and to narrow no more aggressively
-    (fewer aligned variables), so analyses continued from b cover those
-    continued from a.
+    (a variable aligned in b is aligned in a), so analyses continued from b
+    cover those continued from a.
     """
     for v, val in a.env.items():
-        if v not in b.env or not src_leq(val, b.env[v]):
+        w = b.env.get(v)
+        if w is None or not src_leq(val, w) or w.aligned > val.aligned:
             return False
     return (
         set(a.train_uses) <= set(b.train_uses)
         and set(a.test_uses) <= set(b.test_uses)
-        and b.aligned <= a.aligned | (b.env.keys() - a.env.keys())
     )
 
 
 def state_join(a: AbstractState, b: AbstractState) -> AbstractState:
-    env: dict[str, SourceAbs] = {}
-    aligned = set()
-    for v in itertools.chain(a.env, (x for x in b.env if x not in a.env)):
-        ina, inb = v in a.env, v in b.env
-        if ina and inb:
-            env[v] = src_join(a.env[v], b.env[v])
-            if v in a.aligned and v in b.aligned and a.env[v] == b.env[v]:
-                aligned.add(v)
-        elif ina:
-            env[v] = a.env[v]
-            if v in a.aligned:
-                aligned.add(v)
-        else:
-            env[v] = b.env[v]
-            if v in b.aligned:
-                aligned.add(v)
+    env = dict(a.env)
+    for v, val in b.env.items():
+        env[v] = src_join(env[v], val) if v in env else val
     train = a.train_uses + tuple(u for u in b.train_uses if u not in a.train_uses)
     test = a.test_uses + tuple(u for u in b.test_uses if u not in a.test_uses)
-    return AbstractState(env, train, test, frozenset(aligned))
+    return AbstractState(env, train, test)
 
 
 def _widen_value(v: SourceAbs) -> SourceAbs:
@@ -133,12 +120,10 @@ def _widen_value(v: SourceAbs) -> SourceAbs:
 
 def widen_state(prev: AbstractState, nxt: AbstractState) -> AbstractState:
     env = dict(nxt.env)
-    aligned = set(nxt.aligned)
     for v, val in nxt.env.items():
         if v in prev.env and not src_leq(val, prev.env[v]):
             env[v] = _widen_value(val)
-            aligned.discard(v)
-    return replace(nxt, env=env, aligned=frozenset(aligned))
+    return replace(nxt, env=env)
 
 
 # ---------------------------------------------------------------------------
@@ -182,18 +167,18 @@ def _require(state: AbstractState, var: str, site) -> SourceAbs:
 def transfer(s: Statement, m: AbstractState) -> AbstractState:
     """Abstract effect of one statement."""
     if isinstance(s, Read):
-        value = SourceAbs(frozenset({AbsDataFrame(s.file, TOP_COLS, TOP_ROWS)}), False)
-        return m.bind(s.target, value, aligned=True)
+        frames = frozenset({AbsDataFrame(s.file, TOP_COLS, TOP_ROWS)})
+        return m.bind(s.target, SourceAbs(frames, False, True))
 
     if isinstance(s, Select):
         src = _require(m, s.source, s.site)
         if src.tainted:
             # Tainted rows are cross-correlated; narrowing would pretend the
             # selection only depends on the picked rows.
-            return m.bind(s.target, src, aligned=s.source in m.aligned)
+            return m.bind(s.target, src)
         cols = TOP_COLS if s.cols is None else ColumnAbs(frozenset(s.cols))
         window, contiguous = _selector_window(s.rows)
-        if s.source in m.aligned:
+        if src.aligned:
             frames = set_constrain(src.frames, cols, window)
             out_aligned = contiguous and len(frames) <= 1
         else:
@@ -201,19 +186,19 @@ def transfer(s: Statement, m: AbstractState) -> AbstractState:
             # only the column part may be constrained.
             frames = set_constrain(src.frames, cols, TOP_ROWS)
             out_aligned = False
-        return m.bind(s.target, SourceAbs(frames, False), aligned=out_aligned)
+        return m.bind(s.target, SourceAbs(frames, False, out_aligned))
 
     if isinstance(s, Merge):
         left = _require(m, s.left, s.site)
         right = _require(m, s.right, s.site)
         value = SourceAbs(set_join(left.frames, right.frames), left.tainted or right.tainted)
-        return m.bind(s.target, value, aligned=False)
+        return m.bind(s.target, value)
 
     if isinstance(s, Apply):
         src = _require(m, s.source, s.site)
         if s.is_normalize:
-            return m.bind(s.target, SourceAbs(src.frames, True), aligned=False)
-        return m.bind(s.target, src, aligned=s.source in m.aligned)
+            return m.bind(s.target, SourceAbs(src.frames, True))
+        return m.bind(s.target, src)
 
     if isinstance(s, Use):
         for a in s.args:
@@ -228,9 +213,7 @@ def transfer(s: Statement, m: AbstractState) -> AbstractState:
         value = m.env[bound[0]]
         for v in bound[1:]:
             value = src_join(value, m.env[v])
-        aligned = all(v in m.aligned for v in bound) and all(
-            m.env[v] == m.env[bound[0]] for v in bound)
-        return m.bind(s.target, value, aligned=aligned)
+        return m.bind(s.target, value)
 
     if isinstance(s, Branch):
         out = None

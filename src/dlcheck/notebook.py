@@ -136,18 +136,14 @@ class Notebook:
     warnings: tuple[str, ...] = ()
     # The engine's successor index, built with the notebook so that no
     # notebook event pays for it: each variable -> the positions (in
-    # ``cells``) of the relevant cells whose precondition names it, the
-    # positions of the relevant cells, and each cell id -> the variables
-    # running the cell may bind.
+    # ``cells``) of the relevant cells whose precondition names it, and the
+    # positions of the relevant cells.
     readers: dict[str, list[int]] = field(
         init=False, repr=False, compare=False)
     relevant: frozenset[int] = field(
         init=False, repr=False, compare=False)
-    binds: dict[int, frozenset[str]] = field(
-        init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        binds: dict[int, frozenset[str]] = {}
         writers: dict[str, list[int]] = {}
         inputs: list[set[str]] = []
         work: list[int] = []
@@ -156,7 +152,6 @@ class Notebook:
             inputs.append(set(c.precondition))
             if _walk(c.statements, False, assigned, inputs[i]):
                 work.append(i)
-            binds[c.id] = frozenset(assigned).union(b for b, _ in c.exports)
             for v in assigned.union(b for b, f in c.exports if b != f):
                 writers.setdefault(v, []).append(i)
         # Relevant cells: those holding a use, then, to a fixpoint, every
@@ -173,7 +168,6 @@ class Notebook:
                 readers.setdefault(v, []).append(i)
         object.__setattr__(self, "readers", readers)
         object.__setattr__(self, "relevant", frozenset(relevant))
-        object.__setattr__(self, "binds", binds)
 
     def cell(self, cell_id: int) -> CellIR:
         for c in self.cells:

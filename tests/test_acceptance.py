@@ -356,8 +356,9 @@ def test_criterion_7_lattice_property_suite():
         narrow_val = SourceAbs(_random_set(rng), wide_val.tainted and rng.random() < 0.9)
         if not src_leq(narrow_val, wide_val):
             narrow_val = wide_val
-        narrow = BOT_STATE.bind("x", narrow_val, aligned=rng.random() < 0.5)
-        wide = BOT_STATE.bind("x", wide_val, aligned=False)
+        narrow = BOT_STATE.bind("x", SourceAbs(
+            narrow_val.frames, narrow_val.tainted, rng.random() < 0.5))
+        wide = BOT_STATE.bind("x", wide_val)
         s = rng.choice(stmts)
         assert src_leq(transfer(s, narrow).env["y"], transfer(s, wide).env["y"])
         cases += 1

@@ -29,11 +29,11 @@ def fig_notebook():
 
 
 def test_phi_requires_nonempty_covered_precondition():
-    st = BOT_STATE.bind("df", SourceAbs(frozenset({frame("f")}), False), True)
+    st = BOT_STATE.bind("df", SourceAbs(frozenset({frame("f")}), False, True))
     assert phi(st, {"df"}) is True
     assert phi(st, set()) is False
     assert phi(st, {"ghost"}) is False
-    empty = BOT_STATE.bind("df", SourceAbs(frozenset(), False), False)
+    empty = BOT_STATE.bind("df", SourceAbs(frozenset(), False))
     assert phi(empty, {"df"}) is False
 
 

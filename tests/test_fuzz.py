@@ -78,7 +78,7 @@ def test_ungated_select_narrowing_detected():
             cols = TOP_COLS if s.cols is None else ColumnAbs(frozenset(s.cols))
             window, _ = interp._selector_window(s.rows)
             frames = set_constrain(src.frames, cols, window)
-            return m.bind(s.target, SourceAbs(frames, False), aligned=True)
+            return m.bind(s.target, SourceAbs(frames, False, True))
         return interp.transfer(s, m)
 
     report = fuzz_soundness(budget=500, seed=1, transfer_fn=ungated)

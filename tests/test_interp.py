@@ -46,14 +46,13 @@ test(X_test)
 def _state(**env):
     st = BOT_STATE
     for var, val in env.items():
-        st = st.bind(var, val, aligned=False)
+        st = st.bind(var, val)
     return st
 
 
 def test_transfer_read():
     st = transfer(Read("data", "data.csv"), BOT_STATE)
-    assert st.env["data"] == SourceAbs(frozenset({frame("data.csv")}), False)
-    assert "data" in st.aligned
+    assert st.env["data"] == SourceAbs(frozenset({frame("data.csv")}), False, True)
 
 
 def test_transfer_normalize_taints():
@@ -95,7 +94,7 @@ def test_gapped_list_select_breaks_alignment():
     st = transfer(Read("x", "f"), BOT_STATE)
     st = transfer(Select("y", "x", rows=RowList((RowExpr.const(0), RowExpr.const(2)))), st)
     assert st.env["y"].frames == frozenset({frame("f", None, 0, 2)})
-    assert "y" not in st.aligned
+    assert not st.env["y"].aligned
     st = transfer(Select("z", "y", rows=RowList((RowExpr.const(1),))), st)
     assert st.env["z"].frames == frozenset({frame("f", None, 0, 2)})
 
