@@ -577,8 +577,9 @@ class _Translator:
             return self.chain(operands[:1], target, "unknown") if operands else None
         fdef = self.defs[name]
         arg_vals = [self.eval_expr(a, allow_unbound_df=True) for a in node.args]
-        # A definition in the body is local to the call.
-        saved, saved_defs = dict(self.cur), dict(self.defs)
+        # A definition or an import in the body is local to the call.
+        saved = (dict(self.cur), dict(self.defs), dict(self.mod_aliases),
+                 dict(self.from_imports))
         self.inline_stack.append(name)
         self.cur = {}
         for p, v in zip(fdef.args.args, arg_vals):
@@ -593,7 +594,7 @@ class _Translator:
                 break
             self.translate_stmt(stmt)
         self.inline_stack.pop()
-        self.cur, self.defs = saved, saved_defs
+        self.cur, self.defs, self.mod_aliases, self.from_imports = saved
         return result
 
     # -- statements -----------------------------------------------------------
@@ -849,16 +850,15 @@ _BLOCKS = ("body", "handlers", "orelse", "finalbody", "cases")
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def _statements(tree: ast.Module, scopes: bool = True) -> list[ast.AST]:
+def _statements(tree: ast.Module) -> list[ast.AST]:
     """The tree's nodes that are statements or hold statements (the module,
-    except handlers, match cases), in ``ast.walk``'s breadth-first order.
-    Statements never nest inside an expression, so no expression is
-    visited.  With ``scopes`` false, the bodies of functions and classes
-    are not entered, so only statements that run in the module's scope are
-    met."""
+    except handlers, match cases) and run in the module's scope, in
+    ``ast.walk``'s breadth-first order.  Statements never nest inside an
+    expression, so no expression is visited, and the bodies of functions
+    and classes are not entered."""
     todo = [tree]
     for node in todo:
-        if scopes or not isinstance(node, _SCOPES):
+        if not isinstance(node, _SCOPES):
             for name in _BLOCKS:
                 todo.extend(getattr(node, name, ()))
     return todo
@@ -868,9 +868,9 @@ def load_notebook(data: bytes, kb: KnowledgeBase | None = None) -> Notebook:
     """Parse an .ipynb document and translate its code cells in order.
 
     Each cell sees the import aliases of the cells before it, and the
-    function definitions of those cells and its own that bind a name in the
-    module's scope: at any depth of compound statements, but not inside a
-    function or class body.
+    function definitions of those cells and its own, that bind a name in
+    the module's scope: at any depth of compound statements, but not inside
+    a function or class body.
     """
     kb = kb or default_kb()
     defs: dict[str, ast.FunctionDef] = {}
@@ -881,11 +881,10 @@ def load_notebook(data: bytes, kb: KnowledgeBase | None = None) -> Notebook:
         tree = _parse_cell(src)
         imports = (dict(mods), dict(froms))
         if not isinstance(tree, SyntaxError):
-            for node in _statements(tree, scopes=False):
+            for node in _statements(tree):
                 if isinstance(node, ast.FunctionDef):
                     defs[node.name] = node
-            for node in _statements(tree):
-                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
                     _record_import(node, mods, froms)
         cells.append(translate_cell(src, kb, defs=defs, cell_id=i,
                                     imports=imports, tree=tree))

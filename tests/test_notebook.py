@@ -25,6 +25,7 @@ from dlcheck.lang import (
 from dlcheck.notebook import (
     KnowledgeBase,
     NotebookError,
+    _SCOPES,
     _statements,
     cell_precondition,
     default_kb,
@@ -364,6 +365,8 @@ def _prescan_nodes(nodes):
 
 
 def test_statement_walk_meets_definitions_and_imports_in_ast_walk_order():
+    """``_statements`` meets the definitions and imports ``ast.walk`` meets,
+    in its order, except those inside a function or class body."""
     sources = list(NESTED_SOURCES)
     for _name, data in corpus_cases():
         sources += ["".join(c["source"]) for c in json.loads(data)["cells"]
@@ -371,7 +374,10 @@ def test_statement_walk_meets_definitions_and_imports_in_ast_walk_order():
     met = 0
     for src in sources:
         tree = ast.parse(src)
-        expected = _prescan_nodes(ast.walk(tree))
+        scoped = {id(n) for s in ast.walk(tree) if isinstance(s, _SCOPES)
+                  for n in ast.walk(s) if n is not s}
+        expected = [n for n in _prescan_nodes(ast.walk(tree))
+                    if id(n) not in scoped]
         assert _prescan_nodes(_statements(tree)) == expected, src
         met += len(expected)
     assert met > 60
@@ -400,6 +406,9 @@ SHADOW_PREFIX = [
     "def prep(d):\n    return StandardScaler().fit_transform(d)",
 ]
 SPLIT_FIT_PREDICT = "tr, te = train_test_split(z)\nm.fit(tr)\nm.predict(te)"
+SPLIT_ALIAS = "from sklearn.model_selection import train_test_split as split"
+SHUFFLE_ROWS = "def shuffle_rows(d):\n    from random import shuffle as split\n    return d"
+ALIASED_SPLIT_FIT_PREDICT = "tr, te = split(z)\nm.fit(tr)\nm.predict(te)"
 
 
 @pytest.mark.parametrize("cells", [
@@ -409,11 +418,18 @@ SPLIT_FIT_PREDICT = "tr, te = train_test_split(z)\nm.fit(tr)\nm.predict(te)"
      "z = prep(df)\n" + SPLIT_FIT_PREDICT],
     ["def report(d):\n    def prep(e):\n        return e\n    return prep(d)\n"
      "r = report(df)\nz = prep(df)\n" + SPLIT_FIT_PREDICT],
-], ids=["function-body", "class-body", "same-cell-after-a-call"])
+    [SPLIT_ALIAS, SHUFFLE_ROWS, "z = prep(df)\n" + ALIASED_SPLIT_FIT_PREDICT],
+    [SPLIT_ALIAS, "class Shuffler:\n    from random import shuffle as split",
+     "z = prep(df)\n" + ALIASED_SPLIT_FIT_PREDICT],
+    [SPLIT_ALIAS, SHUFFLE_ROWS,
+     "r = shuffle_rows(df)\nz = prep(df)\n" + ALIASED_SPLIT_FIT_PREDICT],
+], ids=["function-body", "class-body", "same-cell-after-a-call",
+        "import-in-function-body", "import-in-class-body", "import-after-a-call"])
 def test_nested_definition_does_not_shadow_a_module_function(cells):
-    """A ``prep`` defined in a function or class body is local to it: later
-    cells, and the rest of its own cell after a call, still call the
-    module-level scaler ``prep``."""
+    """A ``prep`` defined, or a ``split`` imported, in a function or class
+    body is local to it: later cells, and the rest of its own cell after a
+    call, still call the module-level scaler ``prep`` and splitter
+    ``split``."""
     nb = load_notebook(notebook_bytes(SHADOW_PREFIX + cells))
     assert Apply("z", "normalize", "df") in nb.cells[-1].statements
     assert [r.finding.key for r in analyze_notebook(nb).findings] == [
