@@ -1,21 +1,34 @@
+import random
+from dataclasses import replace
+
 import pytest
 
 from dlcheck.domains import (
+    ColumnAbs,
     SourceAbs,
+    TOP_COLS,
+    TOP_ROWS,
     frame,
     rows,
+    set_constrain,
+    set_reduce,
     source_covers,
+    src_join,
     src_leq,
 )
 from dlcheck.interp import (
     AnalysisError,
     BOT_STATE,
+    AbstractState,
+    _selector_window,
+    _widen_value,
     analyze_program,
     check_leakage,
     run_program,
     state_join,
     state_leq,
     transfer,
+    widen_state,
 )
 from dlcheck.lang import (
     Apply,
@@ -251,3 +264,169 @@ def test_state_join_keeps_both_sides():
     j = state_join(a, b)
     assert set(j.env) == {"x", "y"}
     assert state_leq(a, j) and state_leq(b, j)
+
+
+# ---------------------------------------------------------------------------
+# Alignment rules against a reference that keeps alignment beside the
+# environment, as a set of aligned variable names
+# ---------------------------------------------------------------------------
+
+def _split(st: AbstractState):
+    """A state's env as (unflagged env, aligned names): the reference form."""
+    env = {v: replace(a, aligned=False) for v, a in st.env.items()}
+    return env, frozenset(v for v, a in st.env.items() if a.aligned)
+
+
+def _ref_bind(m, var, value, aligned):
+    env, al = m
+    return {**env, var: value}, (al | {var} if aligned else al - {var})
+
+
+def _ref_join(a, b):
+    (ea, aa), (eb, ab) = a, b
+    env, aligned = {}, set()
+    for v in list(ea) + [x for x in eb if x not in ea]:
+        if v in ea and v in eb:
+            env[v] = src_join(ea[v], eb[v])
+            if v in aa and v in ab and ea[v] == eb[v]:
+                aligned.add(v)
+        else:
+            env[v] = ea[v] if v in ea else eb[v]
+            if v in (aa if v in ea else ab):
+                aligned.add(v)
+    return env, frozenset(aligned)
+
+
+def _ref_leq(a, b):
+    (ea, aa), (eb, ab) = a, b
+    return (all(v in eb and src_leq(x, eb[v]) for v, x in ea.items())
+            and ab <= aa | (eb.keys() - ea.keys()))
+
+
+def _ref_widen(prev, nxt):
+    env, aligned = dict(nxt[0]), set(nxt[1])
+    for v, x in nxt[0].items():
+        if v in prev[0] and not src_leq(x, prev[0][v]):
+            env[v] = _widen_value(x)
+            aligned.discard(v)
+    return env, frozenset(aligned)
+
+
+def _ref_transfer(s, m):
+    env, aligned = m
+    if isinstance(s, Phi):
+        bound = [v for v in s.sources if v in env]
+        value = env[bound[0]]
+        for v in bound[1:]:
+            value = src_join(value, env[v])
+        return _ref_bind(m, s.target, value, all(v in aligned for v in bound)
+                         and all(env[v] == env[bound[0]] for v in bound))
+    src = env[s.source]
+    if isinstance(s, Apply):
+        if s.is_normalize:
+            return _ref_bind(m, s.target, SourceAbs(src.frames, True), False)
+        return _ref_bind(m, s.target, src, s.source in aligned)
+    if src.tainted:
+        return _ref_bind(m, s.target, src, s.source in aligned)
+    cols = TOP_COLS if s.cols is None else ColumnAbs(frozenset(s.cols))
+    window, contiguous = _selector_window(s.rows)
+    if s.source in aligned:
+        frames = set_constrain(src.frames, cols, window)
+        return _ref_bind(m, s.target, SourceAbs(frames, False),
+                         contiguous and len(frames) <= 1)
+    frames = set_constrain(src.frames, cols, TOP_ROWS)
+    return _ref_bind(m, s.target, SourceAbs(frames, False), False)
+
+
+ALIGN_VARS = ("a", "b", "c", "d")
+
+
+def _random_value(rng, pool):
+    """A value from a small pool, so that equal values are frequent, with a
+    random alignment flag."""
+    return replace(rng.choice(pool), aligned=rng.random() < 0.5)
+
+
+def _random_state(rng, pool):
+    st = BOT_STATE
+    for v in ALIGN_VARS:
+        if rng.random() < 0.75:
+            st = st.bind(v, _random_value(rng, pool))
+    return st
+
+
+def _wider(rng, pool, st):
+    """A state that often covers ``st``: each value kept, joined with
+    another, re-flagged or dropped, and sometimes a new variable."""
+    out = BOT_STATE
+    for v in ALIGN_VARS:
+        x = st.env.get(v)
+        r = rng.random()
+        if x is None:
+            if r < 0.3:
+                out = out.bind(v, _random_value(rng, pool))
+        elif r < 0.4:
+            out = out.bind(v, x)
+        elif r < 0.7:
+            out = out.bind(v, src_join(x, _random_value(rng, pool)))
+        elif r < 0.9:
+            out = out.bind(v, replace(x, aligned=not x.aligned))
+    return out
+
+
+def _random_align_stmt(rng, st):
+    bound = list(st.env)
+    kind = rng.random()
+    target = rng.choice(ALIGN_VARS + ("t",))
+    if kind < 0.3:
+        return Phi(target, tuple(rng.sample(ALIGN_VARS, rng.randint(1, 4))))
+    source = rng.choice(bound)
+    if kind < 0.5:
+        return Apply(target, rng.choice(("normalize", "dropna")), source)
+    lo = rng.randint(0, 6)
+    selector = rng.choice((
+        None,
+        RowRange(RowExpr.const(lo), RowExpr.const(lo + rng.randint(0, 5))),
+        RowList((RowExpr.const(lo), RowExpr.const(lo + 1))),
+        RowList((RowExpr.const(lo), RowExpr.const(lo + 2))),
+    ))
+    cols = rng.choice((None, frozenset({"x"}), frozenset({"x", "y"})))
+    return Select(target, source, rows=selector, cols=cols)
+
+
+def test_alignment_rules_match_the_aligned_set_reference():
+    """``state_join``, ``state_leq``, ``widen_state`` and the ``Phi``,
+    ``Select`` and ``Apply`` transfers treat the alignment flag a value
+    carries as the older rules treated a set of aligned names beside the
+    environment."""
+    rng = random.Random(12)
+    pool = [
+        SourceAbs(set_reduce([frame(f, cols, lo, lo + n)]), tainted)
+        for f, cols, lo, n, tainted in (
+            ("f", None, 0, 9, False), ("f", None, 2, 4, False),
+            ("f", {"x"}, 0, 3, False), ("g", None, 0, 9, False),
+            ("f", None, 0, 9, True), ("g", {"x", "y"}, 5, 2, True),
+        )
+    ] + [SourceAbs(set_reduce([frame("f", None, 0, 2), frame("f", None, 6, 8)]),
+                   False)]
+    outcomes = {True: 0, False: 0}
+    aligned_results = 0
+    for _ in range(2000):
+        a = _random_state(rng, pool)
+        for b in (_wider(rng, pool, a), _random_state(rng, pool)):
+            ra, rb = _split(a), _split(b)
+            assert _split(state_join(a, b)) == _ref_join(ra, rb)
+            leq = state_leq(a, b)
+            assert leq == _ref_leq(ra, rb)
+            outcomes[leq] += 1
+            assert _split(widen_state(a, b)) == _ref_widen(ra, rb)
+            assert _split(widen_state(b, a)) == _ref_widen(rb, ra)
+        if not a.env:
+            continue
+        s = _random_align_stmt(rng, a)
+        if isinstance(s, Phi) and not any(v in a.env for v in s.sources):
+            continue
+        out = _split(transfer(s, a))
+        assert out == _ref_transfer(s, ra), s
+        aligned_results += s.target in out[1]
+    assert min(outcomes.values()) > 300 and aligned_results > 300
