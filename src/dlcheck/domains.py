@@ -427,11 +427,8 @@ def set_constrain(frames, c: ColumnAbs, ij: RowInterval) -> frozenset[AbsDataFra
 
 @dataclass(frozen=True)
 class SourceAbs:
-    """A frame set, whether its rows may be cross-correlated by a whole-set
-    transformation (``tainted``), and whether it is positionally aligned: a
-    single frame whose interval tracks the source rows in order, so that a
-    row selection may narrow it.  Neither the string form nor the JSON
-    dump shows the alignment flag."""
+    """A frame set with a taint flag and a positional-alignment flag (see
+    ``interp``).  The string form and the JSON dump leave alignment out."""
 
     frames: frozenset[AbsDataFrame] = frozenset()
     tainted: bool = False
