@@ -11,13 +11,30 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
 
+class UsageError(Exception):
+    """Arguments the command cannot run with; ``main`` prints the message as
+    it is and exits 2."""
+
+
+def _at_least_one(command: str, option: str, value: int | None):
+    if value is not None and value < 1:
+        raise UsageError(f"{command}: {option} must be at least 1, got {value}")
+
+
 def _prop_config(args):
     from .engine import PropagationConfig
-    k = None if args.k in ("inf", "none") else int(args.k)
+    k = None
+    if args.k not in ("inf", "none"):
+        try:
+            k = int(args.k)
+        except ValueError:
+            raise UsageError(f"{args.command}: --k expects a number or 'inf', "
+                             f"got {args.k!r}") from None
     return PropagationConfig(k_bound=k, halt_on_finding=not args.no_halt_on_finding)
 
 
@@ -40,13 +57,11 @@ def cmd_analyze(args) -> int:
     from .report import analyze_path
     notebook = Path(args.path).suffix == ".ipynb"
     if notebook and args.dump_state:
-        print("analyze: --dump-state applies to .dfl programs, not to an "
-              ".ipynb notebook", file=sys.stderr)
-        return 2
+        raise UsageError("analyze: --dump-state applies to .dfl programs, not "
+                         "to an .ipynb notebook")
     if not notebook and args.start_cell is not None:
-        print("analyze: --start-cell applies to .ipynb notebooks, not to a "
-              ".dfl program", file=sys.stderr)
-        return 2
+        raise UsageError("analyze: --start-cell applies to .ipynb notebooks, "
+                         "not to a .dfl program")
     report = analyze_path(
         args.path, cfg=_prop_config(args), kb=_load_kb(args),
         dump_state=args.dump_state, start=args.start_cell)
@@ -65,6 +80,7 @@ def cmd_corpus(args) -> int:
 
 def cmd_oracle(args) -> int:
     if args.fuzz is not None:
+        _at_least_one("oracle", "--fuzz", args.fuzz)
         from .fuzz import broken_normalize_transfer, fuzz_soundness
         transfer_fn = broken_normalize_transfer if args.mutate_normalize else None
         report = fuzz_soundness(budget=args.fuzz, seed=args.seed,
@@ -72,18 +88,22 @@ def cmd_oracle(args) -> int:
         print(report.to_json())
         return 0 if report.ok else 1
     if not args.path:
-        print("oracle: a program path or --fuzz N is required", file=sys.stderr)
-        return 2
+        raise UsageError("oracle: a program path or --fuzz N is required")
     from .lang import parse_program, used_vars
     from .oracle import (alpha_dependencies, alpha_pointwise, check_lemma1,
                          concrete_run, ConcreteFrame, enumerate_independence)
     program = parse_program(Path(args.path).read_text())
     shapes = {}
     for item in args.shape or []:
-        name, _, dims = item.partition("=")
-        r, _, c = dims.lower().partition("x")
-        shapes[name] = (int(r), int(c))
-    values = [int(v) for v in args.values.split(",")]
+        m = re.fullmatch(r"(.+)=(\d+)[xX](\d+)", item)
+        if m is None:
+            raise UsageError(f"oracle: --shape expects FILE=RxC, got {item!r}")
+        shapes[m[1]] = (int(m[2]), int(m[3]))
+    try:
+        values = [int(v) for v in args.values.split(",")]
+    except ValueError:
+        raise UsageError("oracle: --values expects comma-separated integers, "
+                         f"got {args.values!r}") from None
     ts, independent, witnesses = enumerate_independence(
         program, values, shapes, budget=args.budget)
     # Constructive dependencies are value-independent for the enumerable
@@ -112,19 +132,14 @@ def cmd_oracle(args) -> int:
 
 def cmd_bench(args) -> int:
     from .report import bench_notebook
-    for option, value in (("--runs", args.runs), ("--synthetic", args.synthetic)):
-        if value is not None and value < 1:
-            print(f"bench: {option} must be at least 1, got {value}",
-                  file=sys.stderr)
-            return 2
+    _at_least_one("bench", "--runs", args.runs)
+    _at_least_one("bench", "--synthetic", args.synthetic)
     if args.synthetic is not None:
         from .corpus import synthetic_notebook
         data = synthetic_notebook(args.synthetic, seed=args.seed)
     else:
         if not args.path:
-            print("bench: a notebook path or --synthetic N is required",
-                  file=sys.stderr)
-            return 2
+            raise UsageError("bench: a notebook path or --synthetic N is required")
         data = Path(args.path).read_bytes()
     result = bench_notebook(data, runs=args.runs, cfg=_prop_config(args),
                             kb=_load_kb(args))
@@ -160,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shape", action="append", metavar="FILE=RxC",
                    help="input shape, repeatable")
     p.add_argument("--budget", type=int, default=2 ** 16,
-                   help="max enumerated assignments (or fuzz programs)")
+                   help="max enumerated assignments (not used with --fuzz)")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--fuzz", type=int, default=None, metavar="N",
                    help="differentially fuzz N random programs instead")
@@ -183,6 +198,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except UsageError as e:
+        print(e, file=sys.stderr)
+        return 2
     except Exception as e:  # noqa: BLE001 - single reporting point for the CLI
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -21,13 +21,13 @@ the path only gets shorter: no finding or shortest witness is lost.  Start
 cells are not sliced; an irrelevant start has no valid successor.
 
 Successors come from the notebook's index (variable -> relevant cells
-whose precondition names it) and are cached per set of live variables; a
-node tests only the cells whose precondition names a variable that became
-live or dead since its parent state.  The expansion memo is what keeps the
-search from re-expanding a state that commuting cells reach in several
-orders; it only keeps expansions that did not depend on the branch they
-were made on (see ``propagate``), so the findings and their witness
-traces are the ones a full search reports.
+whose precondition names it): ``phi`` tests the readers of the variables
+the state binds to a frame, and the answer is cached per set of such live
+variables.  The expansion memo is what keeps the search from re-expanding
+a state that commuting cells reach in several orders; it only keeps
+expansions that did not depend on the branch they were made on (see
+``propagate``), so the findings and their witness traces are the ones a
+full search reports.
 
 Each event also caches the values its ``Select`` and ``Merge`` statements
 bind.  Branches run the same cells again, often on the same inputs, and
@@ -91,23 +91,19 @@ def phi(m: AbstractState, pre) -> bool:
 
 
 def successors(nb: Notebook, state: AbstractState, live: frozenset[str],
-               cache: dict, parent: tuple) -> tuple[int, ...]:
+               cache: dict) -> tuple[int, ...]:
     """The positions in ``nb.cells`` of the relevant cells ``phi`` admits
     after ``state``, in notebook order.
 
-    ``live`` is the set of variables the state binds to at least one frame,
-    which is all ``phi`` depends on, so the answer is cached per live set.
-    ``parent`` is the live set and the answer of the state this one came
-    from: on a miss only the cells whose precondition names a variable that
-    became live or dead since are tested; the others keep their answer."""
+    ``live`` is the set of variables the state binds to at least one frame.
+    ``phi`` admits a cell only when its precondition is a non-empty subset
+    of ``live``, so the candidates are the readers of the live variables,
+    and the answer depends on ``live`` alone: it is cached per live set."""
     out = cache.get(live)
     if out is None:
-        parent_live, out = parent
-        retest = {i for v in live ^ parent_live for i in nb.readers.get(v, ())}
-        if retest:
-            out = sorted({i for i in out if i not in retest}.union(
-                i for i in retest if phi(state, nb.cells[i].precondition)))
-        out = cache[live] = tuple(out)
+        out = cache[live] = tuple(
+            i for i in sorted({i for v in live for i in nb.readers.get(v, ())})
+            if phi(state, nb.cells[i].precondition))
     return out
 
 
@@ -201,12 +197,11 @@ def propagate(nb: Notebook, start: int, cfg: PropagationConfig | None = None,
     traces: list[ExecutionTrace] = []
     unhit = float("inf")
 
-    def dfs(cell: CellIR, state_in: AbstractState, parent: tuple,
-            path: tuple[int, ...], findings: tuple[Finding, ...]) -> float:
-        """Expand one node; ``parent`` is the live set and the successors
-        of ``state_in``.  Returns the shallowest depth at which a seen-state
-        cut a branch in its subtree (``unhit`` if none did); a cut is
-        charged to the deepest seen-state that covers the state."""
+    def dfs(cell: CellIR, state_in: AbstractState, path: tuple[int, ...],
+            findings: tuple[Finding, ...]) -> float:
+        """Expand one node.  Returns the shallowest depth at which a
+        seen-state cut a branch in its subtree (``unhit`` if none did); a
+        cut is charged to the deepest seen-state that covers the state."""
         for s, entered in reversed(seen[cell.id]):
             if state_leq(state_in, s):
                 traces.append(ExecutionTrace(path + (cell.id,), findings, "subsumed"))
@@ -224,7 +219,7 @@ def propagate(nb: Notebook, start: int, cfg: PropagationConfig | None = None,
                 traces.append(ExecutionTrace(path, findings, "halted-on-finding"))
                 return unhit
             live = frozenset(v for v, a in state.env.items() if a.frames)
-            candidates = successors(nb, state, live, cache, parent)
+            candidates = successors(nb, state, live, cache)
             if not candidates:
                 traces.append(ExecutionTrace(path, findings, "no-valid-successor"))
                 return unhit
@@ -238,15 +233,14 @@ def propagate(nb: Notebook, start: int, cfg: PropagationConfig | None = None,
                 return unhit
             hit = unhit
             for i in candidates:
-                hit = min(hit, dfs(nb.cells[i], state, (live, candidates),
-                                   path, findings))
+                hit = min(hit, dfs(nb.cells[i], state, path, findings))
             if hit > depth:
                 memo[key] = depth
             return hit
         finally:
             seen[cell.id].pop()
 
-    dfs(start_cell, BOT_STATE, (frozenset(), ()), (), ())
+    dfs(start_cell, BOT_STATE, (), ())
     return traces
 
 

@@ -37,7 +37,6 @@ from .lang import (
     Statement,
     Use,
     stmt_sources,
-    stmt_target,
 )
 
 
@@ -150,7 +149,7 @@ class Notebook:
         for i, c in enumerate(self.cells):
             assigned: set[str] = set()
             inputs.append(set(c.precondition))
-            if _walk(c.statements, False, assigned, inputs[i]):
+            if _walk(c.statements, False, assigned, set(), inputs[i]):
                 work.append(i)
             for v in assigned.union(b for b, f in c.exports if b != f):
                 writers.setdefault(v, []).append(i)
@@ -176,27 +175,38 @@ class Notebook:
         raise KeyError(f"no cell {cell_id}")
 
 
-def _walk(stmts, nested: bool, assigned: set[str], inputs: set[str]) -> bool:
+def _walk(stmts, nested: bool, defined: set[str], pre: set[str],
+          inputs: set[str]) -> bool:
     """Whether the statements hold a train/test use, at any depth.  Adds to
-    ``assigned`` the variables they assign, at any depth, and to ``inputs``
-    those whose incoming binding their run may read besides the
-    precondition: each variable assigned in a branch arm or loop body (the
-    analysis joins the incoming binding in) and each use's argument (a
-    later use's leak check looks it up again)."""
+    ``pre`` each variable read while not in ``defined`` (an arm sees only
+    what was defined before its branch), and to ``defined`` each variable
+    the statements assign, at any depth.  Adds to ``inputs`` those whose
+    incoming binding their run may read besides the precondition: each
+    variable assigned in a branch arm or loop body (the analysis joins the
+    incoming binding in) and each use's argument (a later use's leak check
+    looks it up again)."""
     has_use = False
     for s in stmts:
-        if isinstance(s, Branch):
+        kind = type(s)
+        if kind is Branch:
+            before = set(defined)
             for arm in s.arms:
-                has_use |= _walk(arm, True, assigned, inputs)
-        elif isinstance(s, Loop):
-            has_use |= _walk(s.body, True, assigned, inputs)
-        elif isinstance(s, Use):
-            inputs.update(s.args)
-            has_use = True
-        elif (t := stmt_target(s)) is not None:
-            assigned.add(t)
-            if nested:
-                inputs.add(t)
+                arm_defined = set(before)
+                has_use |= _walk(arm, True, arm_defined, pre, inputs)
+                defined |= arm_defined
+        elif kind is Loop:
+            has_use |= _walk(s.body, True, defined, pre, inputs)
+        else:
+            for v in stmt_sources(s):
+                if v not in defined:
+                    pre.add(v)
+            if kind is Use:
+                inputs.update(s.args)
+                has_use = True
+            else:
+                defined.add(s.target)
+                if nested:
+                    inputs.add(s.target)
     return has_use
 
 
@@ -204,32 +214,7 @@ def cell_precondition(statements) -> frozenset[str]:
     """Variables read before any assignment, over the translated statements
     (which only ever mention data-frame variables)."""
     pre: set[str] = set()
-    defined: set[str] = set()
-
-    def walk(stmts):
-        for s in stmts:
-            if isinstance(s, Branch):
-                snapshot = set(defined)
-                arm_defs = []
-                for arm in s.arms:
-                    defined.clear()
-                    defined.update(snapshot)
-                    walk(arm)
-                    arm_defs.append(set(defined))
-                defined.clear()
-                defined.update(snapshot.union(*arm_defs) if arm_defs else snapshot)
-                continue
-            if isinstance(s, Loop):
-                walk(s.body)
-                continue
-            for v in stmt_sources(s):
-                if v not in defined:
-                    pre.add(v)
-            t = stmt_target(s)
-            if t is not None:
-                defined.add(t)
-
-    walk(statements)
+    _walk(statements, False, set(), pre, set())
     return frozenset(pre)
 
 

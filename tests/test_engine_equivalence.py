@@ -259,9 +259,9 @@ def test_analysis_matches_reference_search(group, monkeypatch):
     indexed = engine.successors
     checked_nodes = 0
 
-    def checked(nb, state, live, cache, parent):
+    def checked(nb, state, live, cache):
         nonlocal checked_nodes
-        out = indexed(nb, state, live, cache, parent)
+        out = indexed(nb, state, live, cache)
         assert live == {v for v, a in state.env.items() if a.frames}
         assert [nb.cells[i] for i in out] == [
             c for i, c in enumerate(nb.cells)

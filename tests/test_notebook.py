@@ -1,5 +1,7 @@
 import ast
+import gc
 import json
+import random
 import re
 import sys
 
@@ -21,9 +23,13 @@ from dlcheck.lang import (
     RowRange,
     Select,
     Use,
+    stmt_sources,
+    stmt_target,
 )
 from dlcheck.notebook import (
+    CellIR,
     KnowledgeBase,
+    Notebook,
     NotebookError,
     _SCOPES,
     _statements,
@@ -242,6 +248,178 @@ def test_cell_precondition_define_then_use():
     assert cell.precondition == frozenset()
     assert cell_precondition(cell.statements) == frozenset()
     assert translate_cell("").precondition == frozenset()
+
+
+# Test-local copies of the two walkers that ``notebook._walk`` replaced: the
+# recursive ``cell_precondition`` closure and the relevance walk, with the
+# index ``Notebook.__post_init__`` built from it.
+
+def _reference_precondition(statements) -> frozenset[str]:
+    pre: set[str] = set()
+    defined: set[str] = set()
+
+    def walk(stmts):
+        for s in stmts:
+            if isinstance(s, Branch):
+                snapshot = set(defined)
+                arm_defs = []
+                for arm in s.arms:
+                    defined.clear()
+                    defined.update(snapshot)
+                    walk(arm)
+                    arm_defs.append(set(defined))
+                defined.clear()
+                defined.update(snapshot.union(*arm_defs) if arm_defs else snapshot)
+                continue
+            if isinstance(s, Loop):
+                walk(s.body)
+                continue
+            for v in stmt_sources(s):
+                if v not in defined:
+                    pre.add(v)
+            t = stmt_target(s)
+            if t is not None:
+                defined.add(t)
+
+    walk(statements)
+    return frozenset(pre)
+
+
+def _reference_walk(stmts, nested, assigned, inputs) -> bool:
+    has_use = False
+    for s in stmts:
+        if isinstance(s, Branch):
+            for arm in s.arms:
+                has_use |= _reference_walk(arm, True, assigned, inputs)
+        elif isinstance(s, Loop):
+            has_use |= _reference_walk(s.body, True, assigned, inputs)
+        elif isinstance(s, Use):
+            inputs.update(s.args)
+            has_use = True
+        elif (t := stmt_target(s)) is not None:
+            assigned.add(t)
+            if nested:
+                inputs.add(t)
+    return has_use
+
+
+def _reference_index(cells):
+    """(relevant, readers) as the parent of the merged walk built them."""
+    writers: dict[str, list[int]] = {}
+    inputs: list[set[str]] = []
+    work: list[int] = []
+    for i, c in enumerate(cells):
+        assigned: set[str] = set()
+        inputs.append(set(c.precondition))
+        if _reference_walk(c.statements, False, assigned, inputs[i]):
+            work.append(i)
+        for v in assigned.union(b for b, f in c.exports if b != f):
+            writers.setdefault(v, []).append(i)
+    relevant: set[int] = set()
+    while work:
+        i = work.pop()
+        if i not in relevant:
+            relevant.add(i)
+            work.extend(j for v in inputs[i] for j in writers.get(v, ()))
+    readers: dict[str, list[int]] = {}
+    for i in sorted(relevant):
+        for v in cells[i].precondition:
+            readers.setdefault(v, []).append(i)
+    return frozenset(relevant), readers
+
+
+WALK_VARS = ("a", "b", "c", "d", "e")
+
+
+def _random_statements(rng, depth: int) -> tuple:
+    """Reads before and after definitions come from drawing every name from
+    one small pool; nested blocks may be empty or hold further blocks."""
+    out = []
+    for _ in range(rng.randrange(0 if depth else 1, 5)):
+        t, x, y = (rng.choice(WALK_VARS) for _ in range(3))
+        roll = rng.randrange(10 if depth < 3 else 7)
+        if roll == 0:
+            out.append(Read(t, "f.csv"))
+        elif roll == 1:
+            out.append(Select(t, x))
+        elif roll == 2:
+            out.append(Merge(t, "concat", x, y))
+        elif roll == 3:
+            out.append(Apply(t, rng.choice(("normalize", "dropna")), x))
+        elif roll == 4:
+            out.append(Phi(t, (x, y)))
+        elif roll in (5, 6):
+            out.append(Use(rng.choice(("train", "test")), (x,)))
+        elif roll in (7, 8):
+            out.append(Branch(tuple(_random_statements(rng, depth + 1)
+                                    for _ in range(rng.randrange(3)))))
+        else:
+            out.append(Loop(_random_statements(rng, depth + 1)))
+    return tuple(out)
+
+
+def test_merged_walk_matches_the_reference_walkers():
+    rng = random.Random(13)
+    shapes = {"branch in loop": 0, "empty arm": 0, "armless branch": 0,
+              "nested branch": 0, "read after definition": 0}
+
+    def shape(stmts, in_loop=False, in_branch=False):
+        defined = set()
+        for s in stmts:
+            if isinstance(s, Branch):
+                shapes["branch in loop"] += in_loop
+                shapes["nested branch"] += in_branch
+                shapes["armless branch"] += not s.arms
+                shapes["empty arm"] += any(not arm for arm in s.arms)
+                for arm in s.arms:
+                    shape(arm, in_loop, True)
+            elif isinstance(s, Loop):
+                shape(s.body, True, in_branch)
+            else:
+                shapes["read after definition"] += any(
+                    v in defined for v in stmt_sources(s))
+                if not isinstance(s, Use):
+                    defined.add(s.target)
+
+    for _ in range(300):
+        cells = []
+        for i in range(5):
+            stmts = _random_statements(rng, 0)
+            shape(stmts)
+            pre = cell_precondition(stmts)
+            assert pre == _reference_precondition(stmts), stmts
+            exports = tuple((v, v + rng.choice(("", "'")))
+                            for v in WALK_VARS if rng.random() < 0.3)
+            cells.append(CellIR(i, "", stmts, pre, exports, ()))
+        nb = Notebook(tuple(cells))
+        assert (nb.relevant, nb.readers) == _reference_index(nb.cells), cells
+    assert all(shapes.values()), shapes
+
+
+def test_loading_leaves_no_reference_cycle():
+    """Every object a load makes is freed by reference counting, so loading
+    leaves nothing for the cyclic collector.  Slice bounds stay constants or
+    names: ``ast.dump`` of a richer bound makes a cycle of its own."""
+    data = notebook_bytes([
+        "import pandas as pd\n"
+        "from sklearn.model_selection import train_test_split\n"
+        "df = pd.read_csv('a.csv')",
+        "def prep(d):\n    return d.dropna()",
+        "if c:\n    df = prep(df)\nelse:\n    df = df.fillna(0)",
+        "for i in r:\n    part = df.iloc[0:n]\n    df = pd.concat([df, part])",
+        "tr, te = train_test_split(df)\nm.fit(tr)\nm.predict(te)",
+    ])
+    load_notebook(data)
+    gc.collect()
+    gc.disable()
+    try:
+        nb = load_notebook(data)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert any(isinstance(s, Branch) for s in nb.cells[2].statements)
+    assert any(isinstance(s, Loop) for s in nb.cells[3].statements)
+    assert analyze_notebook(nb).findings
 
 
 # -- notebook loading ------------------------------------------------------------

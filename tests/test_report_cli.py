@@ -299,6 +299,32 @@ def test_cli_oracle_fuzz(capsys):
     assert doc["programs"] == 30 and doc["violations"] == []
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_cli_oracle_fuzz_rejects_counts_below_one(capsys, count):
+    assert main(["oracle", "--fuzz", count]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"oracle: --fuzz must be at least 1, got {count}\n"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["oracle", "--shape", "data.csv"],
+     "oracle: --shape expects FILE=RxC, got 'data.csv'"),
+    (["oracle", "--shape", "data.csv=2xq"],
+     "oracle: --shape expects FILE=RxC, got 'data.csv=2xq'"),
+    (["oracle", "--values", "3,x"],
+     "oracle: --values expects comma-separated integers, got '3,x'"),
+    (["analyze", "--k", "abc"],
+     "analyze: --k expects a number or 'inf', got 'abc'"),
+])
+def test_cli_names_the_option_of_a_malformed_value(
+        motivating_dfl, capsys, args, message):
+    assert main([args[0], str(motivating_dfl), *args[1:]]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == message + "\n"
+
+
 def test_cli_oracle_fuzz_mutated(capsys):
     assert main(["oracle", "--fuzz", "200", "--seed", "11",
                  "--mutate-normalize"]) == 1
