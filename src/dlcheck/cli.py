@@ -35,6 +35,7 @@ def _prop_config(args):
         except ValueError:
             raise UsageError(f"{args.command}: --k expects a number or 'inf', "
                              f"got {args.k!r}") from None
+        _at_least_one(args.command, "--k", k)
     return PropagationConfig(k_bound=k, halt_on_finding=not args.no_halt_on_finding)
 
 

@@ -39,6 +39,7 @@ from .oracle import (
     check_lemma1,
     collapse_rows,
     concrete_run,
+    step,
 )
 from .domains import source_covers
 
@@ -56,11 +57,17 @@ def broken_normalize_transfer(s, m):
 MAX_STATEMENTS = 8
 MAX_FILES = 2
 MAX_ROWS = 4
+MAX_DERIVED_ROWS = 64  # a candidate statement with more rows is dropped
 VALUES = (3, 9)
 
 
 def generate_program(rng: random.Random):
-    """One random well-formed program plus concrete input frames."""
+    """One random well-formed program plus concrete input frames.
+
+    The concrete environment of the statements kept so far is kept beside
+    them, so each candidate statement runs once, through ``oracle.step``,
+    and is kept only when it runs and has at most ``MAX_DERIVED_ROWS`` rows.
+    """
     n_files = rng.randint(1, MAX_FILES)
     files = [f"f{i}.csv" for i in range(n_files)]
     inputs = {
@@ -77,24 +84,22 @@ def generate_program(rng: random.Random):
         counter += 1
         return f"v{counter - 1}"
 
+    env = {}
     for f in files:
-        stmts.append(Read(fresh(), f))
-
-    def nrows_of() -> dict[str, int]:
-        env = concrete_run(Program(tuple(stmts)), inputs)
-        return {v: len(rows) for v, rows in env.items()}
+        read = Read(fresh(), f)
+        env[read.target] = step(env, read, inputs)
+        stmts.append(read)
 
     ops = ["select", "select", "select", "normalize", "normalize", "other",
            "concat", "concat", "join"]
     n_body = rng.randint(1, MAX_STATEMENTS - len(stmts) - 2)
     for _ in range(n_body):
-        sizes = nrows_of()
-        bound = list(sizes)
+        bound = list(env)
         for _attempt in range(8):
             op = rng.choice(ops)
             src = rng.choice(bound)
             if op == "select":
-                n = sizes[src]
+                n = env[src].frame.nrows
                 if n == 0:
                     sel = rng.choice([None, RowList(())])
                 else:
@@ -118,18 +123,18 @@ def generate_program(rng: random.Random):
                 other = rng.choice(bound)
                 cand = Merge(fresh(), "concat" if op == "concat" else "join", src, other)
             try:
-                trial = stmts + [cand]
-                env = concrete_run(Program(tuple(trial)), inputs)
-                if len(env[cand.target]) > 64:
-                    counter -= 1
-                    continue
+                b = step(env, cand, inputs)
             except OracleError:
                 counter -= 1
                 continue
+            if b.frame.nrows > MAX_DERIVED_ROWS:
+                counter -= 1
+                continue
+            env[cand.target] = b
             stmts.append(cand)
             break
 
-    bound = [s.target for s in stmts]
+    bound = list(env)
     # Bias uses toward derived variables so transformations sit on the path
     # between sources and uses.
     tail = bound[len(bound) // 2:]

@@ -121,79 +121,89 @@ class _Binding:
     deps: list[frozenset[SourceCell]]
 
 
-def _execute(p: Program, inputs: dict[str, ConcreteFrame], allow_join: bool = True):
-    """Run the program, returning (env, train values, test values)."""
-    env: dict[str, _Binding] = {}
+def _get(env: dict[str, _Binding], name: str, site) -> _Binding:
+    if name not in env:
+        raise OracleError(f"unbound variable {name!r} (at {site})")
+    return env[name]
 
-    def get(name: str, site) -> _Binding:
-        if name not in env:
-            raise OracleError(f"unbound variable {name!r} (at {site})")
-        return env[name]
 
-    for s in p.statements:
-        if isinstance(s, Read):
-            if s.file not in inputs:
-                raise OracleError(f"no input frame for file {s.file!r}")
-            f = inputs[s.file]
-            env[s.target] = _Binding(f, [frozenset({(s.file, r)}) for r in range(f.nrows)])
-        elif isinstance(s, Select):
-            src = get(s.source, s.site)
-            idx = _selector_indices(s.rows, src.frame.nrows)
-            if s.cols is None:
-                keep = list(range(len(src.frame.labels)))
-                labels = src.frame.labels
-            else:
-                missing = s.cols - set(src.frame.labels)
-                if missing:
-                    raise OracleError(f"unknown columns {sorted(missing)} in select")
-                keep = [i for i, c in enumerate(src.frame.labels) if c in s.cols]
-                labels = tuple(src.frame.labels[i] for i in keep)
-            cells = tuple(tuple(src.frame.cells[r][i] for i in keep) for r in idx)
-            env[s.target] = _Binding(
-                ConcreteFrame(labels, cells), [src.deps[r] for r in idx])
-        elif isinstance(s, Merge):
-            left = get(s.left, s.site)
-            right = get(s.right, s.site)
-            if s.op == "concat":
-                if left.frame.labels != right.frame.labels:
-                    raise OracleError("concat needs identical column labels")
-                env[s.target] = _Binding(
-                    ConcreteFrame(left.frame.labels, left.frame.cells + right.frame.cells),
-                    left.deps + right.deps,
-                )
-            else:
-                if not allow_join:
-                    raise OracleError("join is not enumerable")
-                shared = sorted(set(left.frame.labels) & set(right.frame.labels))
-                if not shared:
-                    raise OracleError("join needs a shared column label")
-                key = shared[0]
-                li = left.frame.labels.index(key)
-                ri = right.frame.labels.index(key)
-                labels = left.frame.labels + tuple(
-                    c for c in right.frame.labels if c != key)
-                cells = []
-                deps = []
-                for r1, row1 in enumerate(left.frame.cells):
-                    for r2, row2 in enumerate(right.frame.cells):
-                        if row1[li] == row2[ri]:
-                            rest = tuple(v for i, v in enumerate(row2) if i != ri)
-                            cells.append(row1 + rest)
-                            deps.append(left.deps[r1] | right.deps[r2])
-                env[s.target] = _Binding(ConcreteFrame(labels, tuple(cells)), deps)
-        elif isinstance(s, Apply):
-            src = get(s.source, s.site)
-            if s.is_normalize:
-                union = frozenset().union(*src.deps) if src.deps else frozenset()
-                env[s.target] = _Binding(
-                    _minmax_normalize(src.frame), [union for _ in src.deps])
-            else:
-                env[s.target] = _Binding(src.frame, list(src.deps))
-        elif isinstance(s, Use):
-            for a in s.args:
-                get(a, s.site)
+def step(env: dict[str, _Binding], s, inputs: dict[str, ConcreteFrame],
+         allow_join: bool = True) -> _Binding | None:
+    """The binding statement ``s`` gives its target in ``env``, or ``None``
+    for a ``Use`` (which only checks that its arguments are bound).
+
+    ``env`` is read, never changed, so a caller can try a statement and keep
+    the environment as it was when the statement raises ``OracleError``.
+    """
+    if isinstance(s, Read):
+        if s.file not in inputs:
+            raise OracleError(f"no input frame for file {s.file!r}")
+        f = inputs[s.file]
+        return _Binding(f, [frozenset({(s.file, r)}) for r in range(f.nrows)])
+    if isinstance(s, Select):
+        src = _get(env, s.source, s.site)
+        idx = _selector_indices(s.rows, src.frame.nrows)
+        if s.cols is None:
+            keep = list(range(len(src.frame.labels)))
+            labels = src.frame.labels
         else:
-            raise OracleError(f"construct not supported concretely: {type(s).__name__}")
+            missing = s.cols - set(src.frame.labels)
+            if missing:
+                raise OracleError(f"unknown columns {sorted(missing)} in select")
+            keep = [i for i, c in enumerate(src.frame.labels) if c in s.cols]
+            labels = tuple(src.frame.labels[i] for i in keep)
+        cells = tuple(tuple(src.frame.cells[r][i] for i in keep) for r in idx)
+        return _Binding(ConcreteFrame(labels, cells), [src.deps[r] for r in idx])
+    if isinstance(s, Merge):
+        left = _get(env, s.left, s.site)
+        right = _get(env, s.right, s.site)
+        if s.op == "concat":
+            if left.frame.labels != right.frame.labels:
+                raise OracleError("concat needs identical column labels")
+            return _Binding(
+                ConcreteFrame(left.frame.labels, left.frame.cells + right.frame.cells),
+                left.deps + right.deps,
+            )
+        if not allow_join:
+            raise OracleError("join is not enumerable")
+        shared = sorted(set(left.frame.labels) & set(right.frame.labels))
+        if not shared:
+            raise OracleError("join needs a shared column label")
+        key = shared[0]
+        li = left.frame.labels.index(key)
+        ri = right.frame.labels.index(key)
+        labels = left.frame.labels + tuple(
+            c for c in right.frame.labels if c != key)
+        cells = []
+        deps = []
+        for r1, row1 in enumerate(left.frame.cells):
+            for r2, row2 in enumerate(right.frame.cells):
+                if row1[li] == row2[ri]:
+                    rest = tuple(v for i, v in enumerate(row2) if i != ri)
+                    cells.append(row1 + rest)
+                    deps.append(left.deps[r1] | right.deps[r2])
+        return _Binding(ConcreteFrame(labels, tuple(cells)), deps)
+    if isinstance(s, Apply):
+        src = _get(env, s.source, s.site)
+        if s.is_normalize:
+            union = frozenset().union(*src.deps) if src.deps else frozenset()
+            return _Binding(_minmax_normalize(src.frame), [union for _ in src.deps])
+        return _Binding(src.frame, list(src.deps))
+    if isinstance(s, Use):
+        for a in s.args:
+            _get(env, a, s.site)
+        return None
+    raise OracleError(f"construct not supported concretely: {type(s).__name__}")
+
+
+def _execute(p: Program, inputs: dict[str, ConcreteFrame], allow_join: bool = True):
+    """Run the program, returning its environment: each assigned variable's
+    frame and per-row source cells."""
+    env: dict[str, _Binding] = {}
+    for s in p.statements:
+        b = step(env, s, inputs, allow_join)
+        if b is not None:
+            env[s.target] = b
     return env
 
 

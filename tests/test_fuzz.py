@@ -4,15 +4,117 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import dlcheck
+from dlcheck import fuzz
 from dlcheck.fuzz import (
+    MAX_FILES,
+    MAX_ROWS,
+    MAX_STATEMENTS,
+    VALUES,
     broken_normalize_transfer,
     check_program,
     fuzz_soundness,
     generate_program,
 )
-from dlcheck.lang import parse_program, used_vars
-from dlcheck.oracle import ConcreteFrame, check_lemma1, concrete_run
+from dlcheck.lang import (
+    Apply,
+    Merge,
+    Program,
+    Read,
+    RowExpr,
+    RowList,
+    RowRange,
+    Select,
+    Use,
+    parse_program,
+    used_vars,
+)
+from dlcheck.oracle import ConcreteFrame, OracleError, check_lemma1, concrete_run
+
+
+def whole_prefix_generate_program(rng: random.Random):
+    """Reference generator: runs ``concrete_run`` on the whole program so far,
+    and builds a ``Program``, for every candidate statement and for every row
+    count it reads.  ``generate_program`` must draw and return the same."""
+    n_files = rng.randint(1, MAX_FILES)
+    files = [f"f{i}.csv" for i in range(n_files)]
+    inputs = {
+        f: ConcreteFrame.of([rng.choice(VALUES) for _ in range(rng.randint(1, MAX_ROWS))],
+                            labels=("k",))
+        for f in files
+    }
+
+    stmts = []
+    counter = 0
+
+    def fresh():
+        nonlocal counter
+        counter += 1
+        return f"v{counter - 1}"
+
+    for f in files:
+        stmts.append(Read(fresh(), f))
+
+    def nrows_of() -> dict[str, int]:
+        env = concrete_run(Program(tuple(stmts)), inputs)
+        return {v: len(rows) for v, rows in env.items()}
+
+    ops = ["select", "select", "select", "normalize", "normalize", "other",
+           "concat", "concat", "join"]
+    n_body = rng.randint(1, MAX_STATEMENTS - len(stmts) - 2)
+    for _ in range(n_body):
+        sizes = nrows_of()
+        bound = list(sizes)
+        for _attempt in range(8):
+            op = rng.choice(ops)
+            src = rng.choice(bound)
+            if op == "select":
+                n = sizes[src]
+                if n == 0:
+                    sel = rng.choice([None, RowList(())])
+                else:
+                    style = rng.random()
+                    if style < 0.2:
+                        sel = None
+                    elif style < 0.6:
+                        lo = rng.randrange(n)
+                        hi = rng.randrange(lo, n)
+                        sel = RowRange(RowExpr.const(lo), RowExpr.const(hi))
+                    else:
+                        k = rng.randint(1, n)
+                        sel = RowList(tuple(
+                            RowExpr.const(rng.randrange(n)) for _ in range(k)))
+                cand = Select(fresh(), src, rows=sel)
+            elif op == "normalize":
+                cand = Apply(fresh(), "normalize", src)
+            elif op == "other":
+                cand = Apply(fresh(), "scrub", src)
+            else:
+                other = rng.choice(bound)
+                cand = Merge(fresh(), "concat" if op == "concat" else "join", src, other)
+            try:
+                trial = stmts + [cand]
+                env = concrete_run(Program(tuple(trial)), inputs)
+                if len(env[cand.target]) > fuzz.MAX_DERIVED_ROWS:
+                    counter -= 1
+                    continue
+            except OracleError:
+                counter -= 1
+                continue
+            stmts.append(cand)
+            break
+
+    bound = [s.target for s in stmts]
+    tail = bound[len(bound) // 2:]
+    train = tuple(dict.fromkeys(rng.choice(tail if rng.random() < 0.7 else bound)
+                                for _ in range(rng.randint(1, 2))))
+    test = tuple(dict.fromkeys(rng.choice(tail if rng.random() < 0.7 else bound)
+                               for _ in range(rng.randint(1, 2))))
+    stmts.append(Use("train", train))
+    stmts.append(Use("test", test))
+    return Program(tuple(stmts)), inputs
 
 
 def test_generator_yields_runnable_programs():
@@ -30,6 +132,49 @@ def test_generator_deterministic_per_seed():
     a = [generate_program(random.Random(7))[0] for _ in range(5)]
     b = [generate_program(random.Random(7))[0] for _ in range(5)]
     assert a == b
+
+
+def test_generator_matches_whole_prefix_reference():
+    for seed in range(2000):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        p, inputs = generate_program(rng)
+        ref_p, ref_inputs = whole_prefix_generate_program(ref_rng)
+        assert (p, sorted(inputs.items())) == (ref_p, sorted(ref_inputs.items())), seed
+        assert rng.getstate() == ref_rng.getstate(), seed
+
+
+def test_generator_matches_reference_when_row_limit_rejects_often(monkeypatch):
+    """At 64 rows the limit rejects a candidate in about 1 of 500 programs,
+    and a later attempt nearly always binds the same name again.  At 2 rows
+    whole body steps are rejected, so a rejected candidate that stayed bound
+    would be drawn as a source or used."""
+    monkeypatch.setattr(fuzz, "MAX_DERIVED_ROWS", 2)
+    for seed in range(500):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        p, inputs = generate_program(rng)
+        ref_p, ref_inputs = whole_prefix_generate_program(ref_rng)
+        assert (p, sorted(inputs.items())) == (ref_p, sorted(ref_inputs.items())), seed
+        assert rng.getstate() == ref_rng.getstate(), seed
+
+
+@pytest.mark.parametrize("transfer_fn", [None, broken_normalize_transfer],
+                         ids=["sound", "mutated-normalize"])
+def test_fuzz_report_matches_whole_prefix_reference(monkeypatch, transfer_fn):
+    report = fuzz_soundness(300, seed=5, transfer_fn=transfer_fn).to_json()
+    monkeypatch.setattr(fuzz, "generate_program", whole_prefix_generate_program)
+    assert report == fuzz_soundness(300, seed=5, transfer_fn=transfer_fn).to_json()
+
+
+def test_fuzzing_runs_the_oracle_once_per_program(monkeypatch):
+    calls = []
+
+    def counted(p, inputs):
+        calls.append(p)
+        return concrete_run(p, inputs)
+
+    monkeypatch.setattr(fuzz, "concrete_run", counted)
+    assert fuzz_soundness(budget=50, seed=3).programs == 50
+    assert len(calls) == 50
 
 
 def test_generator_replays_across_string_hash_seeds():

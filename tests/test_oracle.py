@@ -1,8 +1,21 @@
+import copy
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from dlcheck.lang import parse_program, used_vars
+from dlcheck.fuzz import generate_program
+from dlcheck.lang import (
+    Merge,
+    Phi,
+    Read,
+    RowExpr,
+    RowList,
+    Select,
+    parse_program,
+    used_vars,
+)
 from dlcheck.oracle import (
     ConcreteFrame,
     OracleError,
@@ -13,7 +26,10 @@ from dlcheck.oracle import (
     concrete_run,
     deps_equal,
     enumerate_independence,
+    step,
 )
+
+DFL_DIR = Path(__file__).resolve().parents[1] / "corpus" / "dfl"
 
 FOUR_ROWS = {"data.csv": ConcreteFrame.of([3, 9, 9, 3])}
 
@@ -242,3 +258,61 @@ def test_collapse_rows():
     flat = collapse_rows(deps)
     assert flat["tr"] == cells(0, 1)
     assert used_vars(SPLIT_FIRST) == ({"tr"}, {"te"})
+
+
+# -- one statement step ----------------------------------------------------------
+
+STEP_INPUTS = {"a.csv": ConcreteFrame.of([3, 9], labels=("u",)),
+               "b.csv": ConcreteFrame.of([3], labels=("w",))}
+
+
+def _fold(p, inputs):
+    """``concrete_run`` rebuilt from ``step``: bind each statement's result."""
+    env = {}
+    for s in p.statements:
+        b = step(env, s, inputs)
+        if b is not None:
+            env[s.target] = b
+    return {var: dict(enumerate(b.deps)) for var, b in env.items()}
+
+
+def _outcome(run, p, inputs):
+    try:
+        return run(p, inputs)
+    except OracleError as e:
+        return f"OracleError: {e}"
+
+
+@pytest.mark.parametrize("stmt, allow_join, message", [
+    (Select("z", "nope"), True, "unbound variable 'nope'"),
+    (Select("z", "x", rows=RowList((RowExpr.const(5),))), True,
+     "select index 5 out of range"),
+    (Merge("z", "concat", "x", "y"), True, "concat needs identical column labels"),
+    (Merge("z", "join", "x", "y"), True, "join needs a shared column label"),
+    (Merge("z", "join", "x", "x"), False, "join is not enumerable"),
+    (Read("z", "c.csv"), True, "no input frame for file 'c.csv'"),
+    (Phi("z", ("x", "y")), True, "construct not supported concretely: Phi"),
+], ids=["unbound", "select-range", "concat-labels", "join-no-shared-label",
+        "join-not-allowed", "missing-input", "unsupported"])
+def test_step_error_leaves_env_unchanged(stmt, allow_join, message):
+    env = {var: step({}, Read(var, f), STEP_INPUTS)
+           for var, f in (("x", "a.csv"), ("y", "b.csv"))}
+    before = copy.deepcopy(env)
+    with pytest.raises(OracleError, match=message):
+        step(env, stmt, STEP_INPUTS, allow_join)
+    assert env == before
+
+
+def test_concrete_run_is_a_fold_of_step():
+    data = ConcreteFrame.of([[3, 9, 3], [9, 9, 3], [3, 3, 9], [9, 3, 3]],
+                            labels=("X_1", "X_2", "y"))
+    cases = [(parse_program(path.read_text()), {"data.csv": data})
+             for path in sorted(DFL_DIR.glob("*.dfl"))]
+    rng = random.Random(11)
+    cases += [generate_program(rng) for _ in range(200)]
+    outcomes = [(_outcome(concrete_run, p, inputs), _outcome(_fold, p, inputs))
+                for p, inputs in cases]
+    assert [i for i, (a, b) in enumerate(outcomes) if a != b] == []
+    # The symbolic rows of motivating.dfl stop both runs; every other
+    # program runs to the end.
+    assert sum(isinstance(a, dict) for a, _ in outcomes) == len(cases) - 1

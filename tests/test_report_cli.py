@@ -325,6 +325,18 @@ def test_cli_names_the_option_of_a_malformed_value(
     assert out.err == message + "\n"
 
 
+@pytest.mark.parametrize("command, target, k", [
+    ("analyze", "motivating", "0"),
+    ("corpus", "corpus", "-2"),
+])
+def test_cli_names_the_k_option_below_one(motivating_dfl, capsys, command, target, k):
+    path = motivating_dfl if target == "motivating" else CORPUS_DIR
+    assert main([command, str(path), "--k", k]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"{command}: --k must be at least 1, got {k}\n"
+
+
 def test_cli_oracle_fuzz_mutated(capsys):
     assert main(["oracle", "--fuzz", "200", "--seed", "11",
                  "--mutate-normalize"]) == 1
