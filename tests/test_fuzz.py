@@ -134,22 +134,14 @@ def test_generator_deterministic_per_seed():
     assert a == b
 
 
-def test_generator_matches_whole_prefix_reference():
-    for seed in range(2000):
-        rng, ref_rng = random.Random(seed), random.Random(seed)
-        p, inputs = generate_program(rng)
-        ref_p, ref_inputs = whole_prefix_generate_program(ref_rng)
-        assert (p, sorted(inputs.items())) == (ref_p, sorted(ref_inputs.items())), seed
-        assert rng.getstate() == ref_rng.getstate(), seed
-
-
-def test_generator_matches_reference_when_row_limit_rejects_often(monkeypatch):
-    """At 64 rows the limit rejects a candidate in about 1 of 500 programs,
-    and a later attempt nearly always binds the same name again.  At 2 rows
-    whole body steps are rejected, so a rejected candidate that stayed bound
-    would be drawn as a source or used."""
-    monkeypatch.setattr(fuzz, "MAX_DERIVED_ROWS", 2)
-    for seed in range(500):
+# At 64 rows the limit rejects a candidate in about 1 of 500 programs, and a
+# later attempt nearly always binds the same name again.  At 2 rows whole
+# body steps are rejected, so a rejected candidate that stayed bound would be
+# drawn as a source or used.
+@pytest.mark.parametrize("row_limit, seeds", [(64, 2000), (2, 500)])
+def test_generator_matches_whole_prefix_reference(monkeypatch, row_limit, seeds):
+    monkeypatch.setattr(fuzz, "MAX_DERIVED_ROWS", row_limit)
+    for seed in range(seeds):
         rng, ref_rng = random.Random(seed), random.Random(seed)
         p, inputs = generate_program(rng)
         ref_p, ref_inputs = whole_prefix_generate_program(ref_rng)
