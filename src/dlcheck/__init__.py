@@ -39,7 +39,6 @@ from .interp import (  # noqa: F401
     AbstractState,
     AnalysisError,
     Finding,
-    analyze_program,
     check_leakage,
     run_program,
     transfer,

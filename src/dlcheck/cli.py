@@ -29,7 +29,7 @@ def _at_least_one(command: str, option: str, value: int | None):
 def _prop_config(args):
     from .engine import PropagationConfig
     k = None
-    if args.k not in ("inf", "none"):
+    if args.k != "inf":
         try:
             k = int(args.k)
         except ValueError:

@@ -52,7 +52,6 @@ class ColumnAbs:
 
 
 TOP_COLS = ColumnAbs(None)
-EMPTY_COLS = ColumnAbs(frozenset())
 
 
 def columns(*names: str) -> ColumnAbs:

@@ -262,9 +262,13 @@ class FindingRecord:
 class NotebookAnalysis:
     findings: list[FindingRecord] = field(default_factory=list)
     traces: list[ExecutionTrace] = field(default_factory=list)
-    events: int = 0
     event_seconds: list[float] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
+
+    @property
+    def events(self) -> int:
+        """The number of propagations run, one per start cell."""
+        return len(self.event_seconds)
 
 
 def analyze_notebook(nb: Notebook, cfg: PropagationConfig | None = None,
@@ -288,7 +292,6 @@ def analyze_notebook(nb: Notebook, cfg: PropagationConfig | None = None,
         records: list[FindingRecord] = []
         traces = propagate(nb, s, cfg, warnings, records)
         out.event_seconds.append(time.perf_counter() - t0)
-        out.events += 1
         out.traces.extend(traces)
         for rec in records:
             prev = best.get(rec.finding.key)

@@ -19,7 +19,7 @@ import json
 import random
 from dataclasses import dataclass, field, replace
 
-from .interp import analyze_program, transfer
+from . import interp
 from .lang import (
     Apply,
     Merge,
@@ -50,8 +50,8 @@ def broken_normalize_transfer(s, m):
     Used to confirm the fuzzer can actually catch an unsound rule.
     """
     if isinstance(s, Apply) and s.is_normalize:
-        return transfer(replace(s, fn="mutated_noop"), m)
-    return transfer(s, m)
+        return interp.transfer(replace(s, fn="mutated_noop"), m)
+    return interp.transfer(s, m)
 
 
 MAX_STATEMENTS = 8
@@ -76,17 +76,12 @@ def generate_program(rng: random.Random):
         for f in files
     }
 
+    # ``env`` binds one variable per kept statement, so its size names the
+    # next one.
     stmts = []
-    counter = 0
-
-    def fresh():
-        nonlocal counter
-        counter += 1
-        return f"v{counter - 1}"
-
     env = {}
     for f in files:
-        read = Read(fresh(), f)
+        read = Read(f"v{len(env)}", f)
         env[read.target] = step(env, read, inputs)
         stmts.append(read)
 
@@ -95,6 +90,7 @@ def generate_program(rng: random.Random):
     n_body = rng.randint(1, MAX_STATEMENTS - len(stmts) - 2)
     for _ in range(n_body):
         bound = list(env)
+        target = f"v{len(env)}"
         for _attempt in range(8):
             op = rng.choice(ops)
             src = rng.choice(bound)
@@ -114,21 +110,19 @@ def generate_program(rng: random.Random):
                         k = rng.randint(1, n)
                         sel = RowList(tuple(
                             RowExpr.const(rng.randrange(n)) for _ in range(k)))
-                cand = Select(fresh(), src, rows=sel)
+                cand = Select(target, src, rows=sel)
             elif op == "normalize":
-                cand = Apply(fresh(), "normalize", src)
+                cand = Apply(target, "normalize", src)
             elif op == "other":
-                cand = Apply(fresh(), "scrub", src)
+                cand = Apply(target, "scrub", src)
             else:
                 other = rng.choice(bound)
-                cand = Merge(fresh(), "concat" if op == "concat" else "join", src, other)
+                cand = Merge(target, "concat" if op == "concat" else "join", src, other)
             try:
                 b = step(env, cand, inputs)
             except OracleError:
-                counter -= 1
                 continue
             if b.frame.nrows > MAX_DERIVED_ROWS:
-                counter -= 1
                 continue
             env[cand.target] = b
             stmts.append(cand)
@@ -171,10 +165,12 @@ def check_program(p: Program, inputs, transfer_fn=None) -> list[str]:
     """Soundness defects of the analyzer on one program; empty when sound."""
     problems = []
     deps = concrete_run(p, inputs)
-    final, findings = analyze_program(p, transfer_fn)
+    # Called through the module so that a wrapper installed on
+    # ``interp.run_program`` sees the call.
+    run = interp.run_program(p, transfer_fn)
     flat = collapse_rows(deps)
     for var, cells in flat.items():
-        abs_val = final.env.get(var)
+        abs_val = run.final.env.get(var)
         for (file, row) in cells:
             if abs_val is None or not source_covers(abs_val, file, row):
                 problems.append(
@@ -182,7 +178,7 @@ def check_program(p: Program, inputs, transfer_fn=None) -> list[str]:
                     f"{abs_val if abs_val is not None else 'nothing'}")
                 break
     train, test = used_vars(p)
-    if not check_lemma1(deps, train, test) and not findings:
+    if not check_lemma1(deps, train, test) and not run.findings:
         problems.append("concrete leakage but no analyzer finding")
     return problems
 

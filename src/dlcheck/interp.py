@@ -55,10 +55,8 @@ from .lang import (
 
 
 class AnalysisError(Exception):
-    def __init__(self, msg: str, var: str | None = None, site: str | None = None):
-        super().__init__(f"{msg}" + (f" (at {site})" if site else ""))
-        self.var = var
-        self.site = site
+    def __init__(self, msg: str, site: str | None = None):
+        super().__init__(msg + (f" (at {site})" if site else ""))
 
 
 @dataclass(frozen=True)
@@ -160,7 +158,7 @@ def _selector_window(rows) -> tuple[RowInterval, bool]:
 
 def _require(state: AbstractState, var: str, site) -> SourceAbs:
     if var not in state.env:
-        raise AnalysisError(f"unbound variable {var!r}", var=var, site=site)
+        raise AnalysisError(f"unbound variable {var!r}", site)
     return state.env[var]
 
 
@@ -208,8 +206,7 @@ def transfer(s: Statement, m: AbstractState) -> AbstractState:
     if isinstance(s, Phi):
         bound = [v for v in s.sources if v in m.env]
         if not bound:
-            raise AnalysisError(
-                f"no source of {s.target!r} is bound", var=s.target, site=s.site)
+            raise AnalysisError(f"no source of {s.target!r} is bound", s.site)
         value = m.env[bound[0]]
         for v in bound[1:]:
             value = src_join(value, m.env[v])
@@ -234,7 +231,7 @@ def transfer(s: Statement, m: AbstractState) -> AbstractState:
             if state_leq(nxt, state):
                 return state
             state = widen_state(state, nxt) if i >= 3 else nxt
-        raise AnalysisError("loop analysis did not stabilize", site=s.site)
+        raise AnalysisError("loop analysis did not stabilize", s.site)
 
     raise TypeError(f"not a statement: {s!r}")
 
@@ -357,8 +354,3 @@ def run_program(p: Program, transfer_fn=None) -> ProgramRun:
                     seen.add(f.key)
                     findings.append(f)
     return ProgramRun(list(p.statements), states, state, findings)
-
-
-def analyze_program(p: Program, transfer_fn=None) -> tuple[AbstractState, list[Finding]]:
-    run = run_program(p, transfer_fn)
-    return run.final, run.findings

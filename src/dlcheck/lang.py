@@ -24,10 +24,9 @@ class DslError(Exception):
 
 
 class ParseError(DslError):
-    def __init__(self, msg: str, line: int, col: int = 0):
-        super().__init__(f"line {line}:{col}: {msg}")
+    def __init__(self, msg: str, line: int):
+        super().__init__(f"line {line}: {msg}")
         self.line = line
-        self.col = col
 
 
 class SsaError(DslError):
@@ -380,7 +379,6 @@ _READ_RE = re.compile(rf'^({_NAME})\s*=\s*read\(\s*"([^"]*)"\s*\)\s*$')
 _MERGE_RE = re.compile(rf"^({_NAME})\s*=\s*(concat|join)\(\s*({_NAME})\s*,\s*({_NAME})\s*\)\s*$")
 _APPLY_RE = re.compile(rf"^({_NAME})\s*=\s*({_NAME})\(\s*({_NAME})\s*\)\s*$")
 _USE_RE = re.compile(rf"^(train|test)\(\s*({_NAME}(?:\s*,\s*{_NAME})*)\s*\)\s*$")
-_SELECT_RE = re.compile(rf"^({_NAME})\s*=\s*({_NAME})\.select\[(.*)\]\[(.*)\]\s*$")
 _ROWEXPR_RE = re.compile(rf"^\s*(?:(\d+)|inf|({_NAME})(?:\s*([+-])\s*(\d+))?)\s*$")
 
 _RESERVED = {"read", "concat", "join", "train", "test", "select"}

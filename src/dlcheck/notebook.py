@@ -18,6 +18,7 @@ suspended so a later iteration reads the previous one's bindings.
 from __future__ import annotations
 
 import ast
+import functools
 import json
 from dataclasses import dataclass, field, replace as dataclasses_replace
 from importlib import resources
@@ -105,14 +106,9 @@ class KnowledgeBase:
         return "unknown", None
 
 
-_DEFAULT_KB: KnowledgeBase | None = None
-
-
+@functools.cache
 def default_kb() -> KnowledgeBase:
-    global _DEFAULT_KB
-    if _DEFAULT_KB is None:
-        _DEFAULT_KB = KnowledgeBase.load()
-    return _DEFAULT_KB
+    return KnowledgeBase.load()
 
 
 # ---------------------------------------------------------------------------
@@ -736,12 +732,12 @@ class _Translator:
                 v = env.get(base, snapshot.get(base))
                 if v is not None and v not in versions:
                     versions.append(v)
-            if not versions or not any(v in self.df_vars for v in versions):
-                if versions:
-                    self.cur[base] = versions[0]
-                continue
-            versions = [v for v in versions if v in self.df_vars]
-            self.define(self.assign_name(base), Phi, tuple(versions))
+            # An arm binds ``base``, so ``versions`` is not empty.
+            frames = tuple(v for v in versions if v in self.df_vars)
+            if frames:
+                self.define(self.assign_name(base), Phi, frames)
+            else:
+                self.cur[base] = versions[0]
 
     def translate_loop(self, node):
         self.loop_depth += 1

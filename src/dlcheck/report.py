@@ -15,7 +15,7 @@ from pathlib import Path
 from .engine import PropagationConfig, analyze_notebook
 from .interp import Finding, run_program
 from .lang import parse_program
-from .notebook import KnowledgeBase, default_kb, load_notebook, NotebookError
+from .notebook import KnowledgeBase, load_notebook, NotebookError
 
 SCHEMA = "dlcheck-report/1"
 
@@ -91,7 +91,7 @@ def analyze_path(path, cfg: PropagationConfig | None = None,
     text_or_bytes = path.read_bytes()
     if path.suffix == ".ipynb":
         t0 = time.perf_counter()
-        nb = load_notebook(text_or_bytes, kb or default_kb())
+        nb = load_notebook(text_or_bytes, kb)
         t1 = time.perf_counter()
         analysis = analyze_notebook(nb, cfg, start=start)
         t2 = time.perf_counter()
@@ -228,7 +228,6 @@ def score_corpus(directory, labels_path, cfg: PropagationConfig | None = None,
     with open(labels_path, encoding="utf-8") as fh:
         labels = json.load(fh)
     _check_labels(labels)
-    kb = kb or default_kb()
     summary = CorpusSummary()
     labeled = set()
 
@@ -252,9 +251,9 @@ def score_corpus(directory, labels_path, cfg: PropagationConfig | None = None,
             row.error = str(e)
             return row
         row.reported = [r.finding.key for r in analysis.findings]
-        row.path_lengths = [r.path_length for r in analysis.findings
-                            if r.finding.key in set(expected)]
         exp = set(expected)
+        row.path_lengths = [r.path_length for r in analysis.findings
+                            if r.finding.key in exp]
         rep = set(row.reported)
         row.tp = len(exp & rep)
         row.fp = len(rep - exp)
@@ -306,7 +305,6 @@ def bench_notebook(data: bytes, runs: int = 10,
                    kb: KnowledgeBase | None = None) -> BenchResult:
     """Time each triggering event (one propagation from a valid start cell)
     across repeated runs."""
-    kb = kb or default_kb()
     nb = load_notebook(data, kb)
     per_event = []
     events = 0

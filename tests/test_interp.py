@@ -22,7 +22,6 @@ from dlcheck.interp import (
     AbstractState,
     _selector_window,
     _widen_value,
-    analyze_program,
     check_leakage,
     run_program,
     state_join,
@@ -152,7 +151,7 @@ def test_worked_example_states_and_finding():
 
 
 def test_clean_split_then_normalize():
-    _, findings = analyze_program(parse_program("""
+    findings = run_program(parse_program("""
         data = read("data.csv")
         a = data.select[[0 .. 1]][]
         b = data.select[[2 .. 3]][]
@@ -160,12 +159,12 @@ def test_clean_split_then_normalize():
         te = normalize(b)
         train(tr)
         test(te)
-    """))
+    """)).findings
     assert findings == []
 
 
 def test_no_uses_no_findings():
-    _, findings = analyze_program(parse_program('x = read("f")\ny = normalize(x)'))
+    findings = run_program(parse_program('x = read("f")\ny = normalize(x)')).findings
     assert findings == []
 
 

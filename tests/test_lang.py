@@ -69,6 +69,12 @@ def test_syntax_error_carries_line():
     assert e.value.line == 2
 
 
+def test_parse_error_names_the_line_alone():
+    with pytest.raises(ParseError) as e:
+        parse_program('a = read("f")\nbogus line')
+    assert str(e.value) == "line 2: unrecognized statement 'bogus line'"
+
+
 @pytest.mark.parametrize("bad", [
     'x = read(f)',                 # unquoted file
     'x = y.select[0][]',           # rows not wrapped in an array

@@ -243,6 +243,53 @@ def test_if_ends_in_phi_of_the_arms():
     assert dict(cell.exports)["a"] == "a'''"
 
 
+def test_if_over_non_frames_leaves_a_non_frame():
+    cell = translate_cell("if c:\n    n = 1\nelse:\n    n = 2\nz = n.dropna()")
+    assert cell.statements == (Branch(((), ())),)
+    assert cell.precondition == frozenset()
+    assert cell.warnings == ()
+
+
+def test_plain_alias_emits_no_statement():
+    cell = translate_cell(READS + "y = a\nz = y.dropna()")
+    assert cell.statements[2:] == (Apply("z", "dropna", "a"),)
+    assert dict(cell.exports)["y"] == "a"
+    assert cell.precondition == frozenset()
+    assert cell.warnings == ()
+
+
+def test_alias_of_a_non_frame_is_not_a_frame():
+    cell = translate_cell("n = 3\ny = n\nz = y.dropna()")
+    assert cell.statements == ()
+    assert cell.precondition == frozenset()
+    assert cell.warnings == ()
+
+
+def test_annotated_assignment_with_a_value_binds_it():
+    cell = translate_cell(READS + "c: pd.DataFrame = a.dropna()")
+    assert cell.statements[2:] == (Apply("c", "dropna", "a"),)
+    assert cell.warnings == ()
+
+
+def test_annotation_without_a_value_binds_nothing():
+    cell = translate_cell("b: pd.DataFrame\nz = b.dropna()")
+    assert cell.statements == (Apply("z", "dropna", "b"),)
+    assert cell.precondition == frozenset({"b"})
+    assert cell.warnings == ()
+
+
+@pytest.mark.parametrize("line", [
+    "p, q = a, b",                       # not a call
+    "p, q = fs[0](a)",                   # no function name
+    "p, q = a.dropna()",                 # not a split
+    "(p, q), r = train_test_split(a)",   # a target that is not a name
+])
+def test_tuple_assignment_that_is_not_a_split_is_dropped(line):
+    cell = translate_cell(READS + line)
+    assert cell.statements == (Read("a", "a.csv"), Read("b", "b.csv"))
+    assert cell.warnings == ("unsupported tuple assignment dropped",)
+
+
 def test_cell_precondition_define_then_use():
     cell = translate_cell("x = pd.read_csv('f.csv')\ny = x.dropna()")
     assert cell.precondition == frozenset()
@@ -663,6 +710,25 @@ def test_recursive_function_degrades_with_warning():
     assert any("recursive function 'rec'" in w for w in nb.cells[1].warnings)
     assert any(isinstance(s, Apply) and s.fn == "unknown"
                for s in nb.cells[1].statements)
+
+
+@pytest.mark.parametrize("defs, entry, calls, stopped", [
+    ("def f(d):\n    return f(d.dropna())", "f", 1, "f"),
+    ("def f(d):\n    return g(d.dropna())\ndef g(d):\n    return f(d.dropna())",
+     "f", 2, "f"),
+    ("".join(f"def f{i}(d):\n    return f{i + 1}(d.dropna())\n" for i in range(12)),
+     "f0", 8, "f8"),
+])
+def test_inlining_stops_at_recursion_or_depth(defs, entry, calls, stopped):
+    nb = load_notebook(notebook_bytes([
+        defs, f'import pandas as pd\nx = pd.read_csv("a.csv")\ny = {entry}(x)']))
+    temps = ["x"] + [f"_t{i}" for i in range(2, calls + 2)]
+    assert nb.cells[1].statements == (
+        Read("x", "a.csv"),
+        *(Apply(t, "dropna", s) for s, t in zip(temps, temps[1:])),
+        Apply("y", "unknown", temps[-1]),
+    )
+    assert nb.cells[1].warnings == (f"recursive function {stopped!r} treated as unknown",)
 
 
 def test_multi_statement_function_body_inlines():

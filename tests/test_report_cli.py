@@ -316,6 +316,8 @@ def test_cli_oracle_fuzz_rejects_counts_below_one(capsys, count):
      "oracle: --values expects comma-separated integers, got '3,x'"),
     (["analyze", "--k", "abc"],
      "analyze: --k expects a number or 'inf', got 'abc'"),
+    (["analyze", "--k", "none"],
+     "analyze: --k expects a number or 'inf', got 'none'"),
 ])
 def test_cli_names_the_option_of_a_malformed_value(
         motivating_dfl, capsys, args, message):
@@ -323,6 +325,15 @@ def test_cli_names_the_option_of_a_malformed_value(
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == message + "\n"
+
+
+def test_cli_parse_error_names_the_line(tmp_path, capsys):
+    path = tmp_path / "bad.dfl"
+    path.write_text('a = read("f")\nbogus line\n')
+    assert main(["analyze", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: line 2: unrecognized statement 'bogus line'\n"
 
 
 @pytest.mark.parametrize("command, target, k", [
