@@ -211,10 +211,20 @@ def row_unindex(r: RowInterval, ij: RowInterval) -> RowInterval:
     """The sub-interval of ``r`` between positional indices ``ij``.
 
     ``ij`` is first met with ``row_index(r)``, so out-of-range indices are
-    clipped rather than rejected.
+    clipped rather than rejected.  When no bound of ``r`` or ``ij`` has a
+    symbol, the same window is computed on integers, with no ``row_index``
+    or ``row_meet`` intermediates.
     """
-    if r.is_bot:
+    if r.is_bot or ij.is_bot:
         return BOT_ROWS
+    lo, hi, i, j = r.lo, r.hi, ij.lo, ij.hi
+    if lo.sym is None and hi.sym is None and i.sym is None and j.sym is None:
+        # lo and i are constants; hi and j are constants or inf.
+        if not hi.inf and hi.offset - lo.offset < i.offset:
+            return BOT_ROWS
+        if not j.inf and (hi.inf or lo.offset + j.offset < hi.offset):
+            hi = RowExpr.const(lo.offset + j.offset)
+        return RowInterval(lo.shift(i.offset), hi)
     ij = row_meet(row_index(r), ij)
     if ij.is_bot:
         return BOT_ROWS
@@ -405,9 +415,17 @@ def set_join(a, b) -> frozenset[AbsDataFrame]:
 
     Both operands must be canonical, as every ``SourceAbs.frames`` is: no
     two frames of one operand are tested for overlap until one of them has
-    been joined.  The result is ``set_reduce(set(a) | set(b))``.
+    been joined.  The result is ``set_reduce(set(a) | set(b))``.  When no
+    frame of one operand may overlap a frame of the other, that reduction
+    joins nothing, so the union is returned without it: a join then costs
+    one overlap test per pair of frames the operands do not share.  Every
+    such pair is tested, so the number of tests does not depend on the
+    iteration order of the sets.
     """
     a, b = frozenset(a), frozenset(b)
+    only_b = b - a
+    if not any([df_overlap(x, y) for x in a - b for y in only_b]):
+        return a | b
     return set_reduce(a | b, (a, b))
 
 

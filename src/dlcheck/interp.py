@@ -87,10 +87,13 @@ def state_leq(a: AbstractState, b: AbstractState) -> bool:
 
     Requires b to be at least as wide and to narrow no more aggressively
     (a variable aligned in b is aligned in a), so analyses continued from b
-    cover those continued from a.
+    cover those continued from a.  A variable bound to the same value
+    object in both states is skipped: every value is below itself.
     """
     for v, val in a.env.items():
         w = b.env.get(v)
+        if w is val:
+            continue
         if w is None or not src_leq(val, w) or w.aligned > val.aligned:
             return False
     return (

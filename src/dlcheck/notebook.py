@@ -553,7 +553,11 @@ class _Translator:
 
     def inline_call(self, name: str, node: ast.Call, target=None) -> str | None:
         if name in self.inline_stack or len(self.inline_stack) >= _MAX_INLINE_DEPTH:
-            self.warn(f"recursive function {name!r} treated as unknown")
+            if name in self.inline_stack:
+                self.warn(f"recursive function {name!r} treated as unknown")
+            else:
+                self.warn(f"function {name!r} called past the inlining depth limit "
+                          f"of {_MAX_INLINE_DEPTH} treated as unknown")
             operands = self.df_args(node)
             return self.chain(operands[:1], target, "unknown") if operands else None
         fdef = self.defs[name]
@@ -630,6 +634,16 @@ class _Translator:
         if len(targets) == 1 and isinstance(targets[0], ast.Tuple):
             if not self.translate_split(targets[0], value):
                 self.warn("unsupported tuple assignment dropped")
+            return
+
+        if len(targets) > 1 and all(isinstance(t, ast.Name) for t in targets):
+            # x = z = value: the value is evaluated once and bound to each
+            # name in turn, so bind the first name and alias the others to it.
+            first = targets[0].id
+            self.translate_assign(ast.Assign(targets=targets[:1], value=value))
+            for t in targets[1:]:
+                self.translate_assign(
+                    ast.Assign(targets=[t], value=ast.Name(id=first, ctx=ast.Load())))
             return
 
         if len(targets) != 1 or not isinstance(targets[0], ast.Name):

@@ -9,6 +9,7 @@ from dlcheck.domains import (
     BOT_SOURCE,
     AbsDataFrame,
     ColumnAbs,
+    RowInterval,
     EnumerationError,
     SourceAbs,
     TOP_COLS,
@@ -42,7 +43,7 @@ from dlcheck.domains import (
     src_join,
     src_leq,
 )
-from dlcheck.lang import INF, RowExpr, expr_le
+from dlcheck.lang import INF, RowExpr, expr_add, expr_le
 
 
 # -- columns -------------------------------------------------------------------
@@ -109,6 +110,54 @@ def test_row_unindex_matches_positional_selection():
                     else:
                         assert gamma_rows(got) == \
                             set(range(l + kept[0], l + kept[-1] + 1))
+
+
+def reference_row_unindex(r, ij):
+    """``row_unindex`` before its symbol-free path: meet ``ij`` with
+    ``row_index(r)``, then shift the result by ``r.lo``."""
+    if r.is_bot:
+        return BOT_ROWS
+    ij = row_meet(row_index(r), ij)
+    if ij.is_bot:
+        return BOT_ROWS
+    lo = expr_add(r.lo, ij.lo)
+    if lo is None or lo.inf:
+        lo = r.lo
+    hi = expr_add(r.lo, ij.hi)
+    if hi is None:
+        hi = r.hi
+    else:
+        hi = domains._min_expr(hi, r.hi, r.hi)
+    if expr_le(lo, hi) is False:
+        return r
+    return RowInterval(lo, hi)
+
+
+def _random_interval(rng, p_symbolic):
+    if rng.random() < 0.05:
+        return BOT_ROWS
+    lo, hi = _random_bound(rng, p_symbolic), _random_bound(rng, p_symbolic)
+    if rng.random() < 0.2:
+        hi = INF
+    if expr_le(lo, hi) is False:
+        lo, hi = hi, lo
+    return rows(lo, hi)
+
+
+def test_row_unindex_matches_the_composition():
+    """The same ``RowInterval`` as meeting with ``row_index`` and shifting,
+    on 30,000 seeded random pairs with constant, mixed and all-symbolic
+    bounds; the symbol-free path clips, empties and keeps whole windows."""
+    rng = random.Random(16)
+    outcomes = set()
+    for n in range(30000):
+        p_symbolic = (0.0, 0.5, 1.0)[n % 3]
+        r, ij = _random_interval(rng, p_symbolic), _random_interval(rng, p_symbolic)
+        got = row_unindex(r, ij)
+        assert got == reference_row_unindex(r, ij), (str(r), str(ij))
+        if p_symbolic == 0.0 and not (r.is_bot or ij.is_bot):
+            outcomes.add("bot" if got.is_bot else "whole" if got == r else "part")
+    assert outcomes == {"bot", "whole", "part"}
 
 
 def test_symbolic_disjointness():
@@ -358,6 +407,27 @@ def test_set_join_overlap_tests_stay_linear_per_join(monkeypatch):
         assert calls - before <= len(acc) - 1
     assert len(acc) == 100
     assert calls <= 100 * 99 // 2
+
+
+def test_set_join_of_disjoint_sets_does_not_reduce(monkeypatch):
+    """Folding 100 disjoint single-frame sets: no frame of one operand may
+    overlap one of the other, so no join reduces."""
+    calls = 0
+
+    def counting(frames, parts=()):
+        nonlocal calls
+        calls += 1
+        return set_reduce(frames, parts)
+
+    monkeypatch.setattr(domains, "set_reduce", counting)
+    acc = frozenset()
+    for lo in range(0, 500, 5):
+        acc = set_join(acc, {frame("f", None, lo, lo + 2)})
+    assert acc == frozenset(frame("f", None, lo, lo + 2) for lo in range(0, 500, 5))
+    assert calls == 0
+    assert set_join(acc, {frame("f", None, 2, 5)}) == (
+        acc - {frame("f", None, 0, 2), frame("f", None, 5, 7)}) | {frame("f", None, 0, 7)}
+    assert calls == 1
 
 
 def _reference_set_leq(a, b):

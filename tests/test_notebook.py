@@ -728,7 +728,57 @@ def test_inlining_stops_at_recursion_or_depth(defs, entry, calls, stopped):
         *(Apply(t, "dropna", s) for s, t in zip(temps, temps[1:])),
         Apply("y", "unknown", temps[-1]),
     )
-    assert nb.cells[1].warnings == (f"recursive function {stopped!r} treated as unknown",)
+    if calls == 8:
+        # A chain of distinct functions stops at the depth limit, not a recursion.
+        assert nb.cells[1].warnings == (
+            f"function {stopped!r} called past the inlining depth limit of 8"
+            " treated as unknown",)
+    else:
+        assert nb.cells[1].warnings == (
+            f"recursive function {stopped!r} treated as unknown",)
+
+
+def test_inlining_depth_limit_has_its_own_warning():
+    """``f1`` -> ... -> ``f9`` recurses nowhere: the call of ``f9``, the
+    ninth nested one, is past the depth limit, and the warning names it."""
+    defs = "".join(f"def f{i}(d):\n    return f{i + 1}(d.dropna())\n" for i in range(1, 9))
+    nb = load_notebook(notebook_bytes([
+        defs + "def f9(d):\n    return d.dropna()",
+        'import pandas as pd\nx = pd.read_csv("a.csv")\ny = f1(x)']))
+    assert nb.cells[1].warnings == (
+        "function 'f9' called past the inlining depth limit of 8 treated as unknown",)
+    assert nb.cells[1].statements[-1] == Apply("y", "unknown", "_t9")
+
+
+def test_true_recursion_keeps_the_recursion_warning():
+    """A function that calls itself through another stops at its second
+    entry, well inside the depth limit, with the recursion warning."""
+    nb = load_notebook(notebook_bytes([
+        "def f(d):\n    return g(d.dropna())\ndef g(d):\n    return h(d.dropna())\n"
+        "def h(d):\n    return g(d.dropna())",
+        'import pandas as pd\nx = pd.read_csv("a.csv")\ny = f(x)']))
+    assert nb.cells[1].warnings == ("recursive function 'g' treated as unknown",)
+    assert nb.cells[1].statements[-1] == Apply("y", "unknown", "_t4")
+
+
+def test_chained_assignment_binds_every_name():
+    """``x = z = value`` rebinds ``x`` as ``x = value`` would, so the test
+    slice read through ``x`` overlaps the training slice; ``z`` is the same
+    value."""
+    def cell(assign):
+        return ('import pandas as pd\nfrom sklearn.linear_model import LogisticRegression\n'
+                'm = LogisticRegression()\ndf = pd.read_csv("f.csv")\nx = df.iloc[0:3]\n'
+                f"{assign}\nm.fit(df.iloc[10:20])\nm.predict(x)")
+
+    chained = load_notebook(notebook_bytes([cell("x = z = df.iloc[10:20]")]))
+    plain = load_notebook(notebook_bytes([cell("x = df.iloc[10:20]")]))
+    assert chained.cells[0].statements == plain.cells[0].statements
+    assert chained.cells[0].warnings == ()
+    assert [r.finding.key for r in analyze_notebook(chained).findings] == [
+        ("overlap", "_t4", "x'")]
+    via_z = cell("x = z = df.iloc[10:20]").replace("m.predict(x)", "m.predict(z)")
+    assert load_notebook(notebook_bytes([via_z])).cells[0].statements == \
+        plain.cells[0].statements
 
 
 def test_multi_statement_function_body_inlines():

@@ -2,8 +2,10 @@
 
 ``perfbench/tracing.py`` replaces functions at the module bindings it
 names.  A renamed or no longer used binding fails only in a traced
-benchmark run, so this test installs the tracer, runs one notebook analysis
-and one fuzz program, and checks that every span was entered.
+benchmark run, so this test installs the tracer, runs two notebook analyses
+and one fuzz program, and checks that every span was entered.  The second
+notebook concatenates overlapping slices: a join of disjoint frame sets
+does not reduce, so without it no ``set_reduce`` span would be entered.
 """
 
 import importlib
@@ -31,8 +33,9 @@ def test_tracer_wraps_every_binding_and_restores_it():
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        data = (CORPUS_DIR / "t1_scale_before_split.ipynb").read_bytes()
-        engine.analyze_notebook(notebook.load_notebook(data))
+        for name in ("t1_scale_before_split.ipynb", "o6_concat_overlap.ipynb"):
+            data = (CORPUS_DIR / name).read_bytes()
+            engine.analyze_notebook(notebook.load_notebook(data))
         assert fuzz.fuzz_soundness(budget=1).ok
     finally:
         tracer.remove()
