@@ -9,8 +9,8 @@ from dlcheck.domains import (
     BOT_SOURCE,
     AbsDataFrame,
     ColumnAbs,
-    RowInterval,
     EnumerationError,
+    RowInterval,
     SourceAbs,
     TOP_COLS,
     TOP_ROWS,
