@@ -29,13 +29,12 @@ expansions that did not depend on the branch they were made on (see
 ``propagate``), so the findings and their witness traces are the ones a
 full search reports.
 
-Each event also caches the values its ``Select`` and ``Merge`` statements
-bind.  Branches run the same cells again, often on the same inputs, and
-these two are the costly transfers (frame-set constraint and reduction).
-The value a statement binds depends only on the statement and on the
-values of its sources, so those form the key, and a hit binds the stored
-value instead of running ``transfer`` again.  Every other statement,
-and any statement that fails, goes through ``transfer`` each time.
+A cell runs through ``interp.run_program``, the fold ``.dfl`` programs
+take, and each event hands it one cache of the values its ``Select`` and
+``Merge`` statements bind.  Branches run the same cells again, often on
+the same inputs, and these two are the costly transfers (frame-set
+constraint and reduction), so a statement run again on equal source
+values binds the stored value instead of running ``transfer`` again.
 """
 
 from __future__ import annotations
@@ -46,14 +45,12 @@ from dataclasses import dataclass, field
 from .domains import SourceAbs
 from .interp import (
     AbstractState,
-    AnalysisError,
     BOT_STATE,
     Finding,
-    check_leakage,
+    run_program,
     state_leq,
     transfer,
 )
-from .lang import Merge, Select, stmt_uses
 from .notebook import CellIR, Notebook
 
 
@@ -105,44 +102,6 @@ def successors(nb: Notebook, state: AbstractState, live: frozenset[str],
             i for i in sorted({i for v in live for i in nb.readers.get(v, ())})
             if phi(state, nb.cells[i].precondition))
     return out
-
-
-def _run_cell(cell: CellIR, state: AbstractState, halt: bool, warnings: list,
-              values: dict):
-    """Analyze one cell; returns (state, findings, halted).  ``values`` maps
-    a ``Select`` or ``Merge`` and its inputs to the value it binds (see the
-    module docstring)."""
-    findings: list[Finding] = []
-    for s in cell.statements:
-        kind = type(s)
-        if kind is Select:
-            key = (id(s), state.env.get(s.source))
-        elif kind is Merge:
-            key = (id(s), state.env.get(s.left), state.env.get(s.right))
-        else:
-            key = None
-        if key is not None:
-            hit = values.get(key)
-            if hit is not None:
-                state = state.bind(s.target, hit)
-                continue
-        try:
-            state = transfer(s, state)
-        except AnalysisError as e:
-            warnings.append(f"cell {cell.id}: {e}")
-            continue
-        if key is not None:
-            values[key] = state.env[s.target]
-            continue
-        uses = stmt_uses(s)
-        if uses:
-            hits = check_leakage(state, uses)
-            if hits:
-                if halt:
-                    findings.append(hits[0])
-                    return _export(cell, state), findings, True
-                findings.extend(hits)
-    return _export(cell, state), findings, False
 
 
 def _export(cell: CellIR, state: AbstractState) -> AbstractState:
@@ -210,14 +169,17 @@ def propagate(nb: Notebook, start: int, cfg: PropagationConfig | None = None,
         depth = len(path)
         seen[cell.id].append((state_in, depth))
         try:
-            state, new, halted = _run_cell(cell, state_in, cfg.halt_on_finding,
-                                           warnings, values)
+            state, new, halted = run_program(
+                cell.statements, state_in, warnings=warnings,
+                halt=cfg.halt_on_finding, cell=cell.id, values=values,
+                transfer_fn=transfer)
             findings = findings + tuple(new)
             if records is not None:
                 records.extend(FindingRecord(f, path) for f in new)
             if halted:
                 traces.append(ExecutionTrace(path, findings, "halted-on-finding"))
                 return unhit
+            state = _export(cell, state)
             live = frozenset(v for v, a in state.env.items() if a.frames)
             candidates = successors(nb, state, live, cache)
             if not candidates:
@@ -241,6 +203,7 @@ def propagate(nb: Notebook, start: int, cfg: PropagationConfig | None = None,
             seen[cell.id].pop()
 
     dfs(start_cell, BOT_STATE, (), ())
+    del dfs  # its closure refers to it: free the event without the cyclic GC
     return traces
 
 

@@ -162,15 +162,18 @@ class FuzzReport:
 
 
 def check_program(p: Program, inputs, transfer_fn=None) -> list[str]:
-    """Soundness defects of the analyzer on one program; empty when sound."""
+    """Soundness defects of the analyzer on one program, a skipped statement
+    among them; empty when sound."""
     problems = []
     deps = concrete_run(p, inputs)
+    warnings: list[str] = []
     # Called through the module so that a wrapper installed on
     # ``interp.run_program`` sees the call.
-    run = interp.run_program(p, transfer_fn)
+    final, findings, _ = interp.run_program(p.statements, warnings=warnings,
+                                            transfer_fn=transfer_fn)
     flat = collapse_rows(deps)
     for var, cells in flat.items():
-        abs_val = run.final.env.get(var)
+        abs_val = final.env.get(var)
         for (file, row) in cells:
             if abs_val is None or not source_covers(abs_val, file, row):
                 problems.append(
@@ -178,8 +181,9 @@ def check_program(p: Program, inputs, transfer_fn=None) -> list[str]:
                     f"{abs_val if abs_val is not None else 'nothing'}")
                 break
     train, test = used_vars(p)
-    if not check_lemma1(deps, train, test) and not run.findings:
+    if not check_lemma1(deps, train, test) and not findings:
         problems.append("concrete leakage but no analyzer finding")
+    problems += [f"analyzer skipped a statement: {w}" for w in warnings]
     return problems
 
 

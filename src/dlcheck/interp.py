@@ -1,5 +1,6 @@
 """Abstract interpreter: per-statement transfer functions over provenance
-states, the train/test leakage check, and the whole-program driver.
+states, the train/test leakage check, and ``run_program``, the one fold of
+both over statements, which ``.dfl`` programs and notebook cells share.
 
 A state maps each variable to a source abstraction (canonical frame set,
 taint flag and alignment flag) and records which variables reached
@@ -30,7 +31,6 @@ from .domains import (
     set_constrain,
     set_join,
     set_reduce,
-    source_to_json,
     src_join,
     src_leq,
 )
@@ -41,7 +41,6 @@ from .lang import (
     Loop,
     Merge,
     Phi,
-    Program,
     Read,
     RowExpr,
     RowRange,
@@ -49,7 +48,6 @@ from .lang import (
     Statement,
     Use,
     expr_le,
-    stmt_text,
     stmt_uses,
 )
 
@@ -319,41 +317,50 @@ def check_leakage(m: AbstractState, uses) -> list[Finding]:
 
 
 # ---------------------------------------------------------------------------
-# Whole-program driver
+# Statement fold
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ProgramRun:
-    statements: list[Statement]
-    states: list[AbstractState]
-    final: AbstractState
-    findings: list[Finding]
-
-    def state_dump(self) -> list[dict]:
-        return [
-            {
-                "statement": stmt_text(s),
-                "env": {v: source_to_json(val) for v, val in st.env.items()},
-            }
-            for s, st in zip(self.statements, self.states)
-        ]
-
-
-def run_program(p: Program, transfer_fn=None) -> ProgramRun:
-    """Fold the transfer over the program from the empty state, checking
-    the train/test pairs each statement's uses add."""
+def run_program(statements, state: AbstractState = BOT_STATE, *, warnings: list,
+                halt: bool = False, cell: int | None = None,
+                values: dict | None = None, transfer_fn=None):
+    """Fold the transfer over ``statements`` from ``state``, checking the
+    train/test pairs each statement's uses add; returns (state, findings,
+    halted).  A statement whose transfer raises ``AnalysisError`` is skipped
+    and warned about (naming ``cell`` if given).  With ``halt``, the fold
+    stops at the first leak and keeps its first finding.  ``values``, when
+    given, maps a ``Select`` or ``Merge`` and its source values to the value
+    it binds, for callers that run statements again on equal inputs; a run
+    that executes each statement once has nothing to reuse and passes none.
+    ``transfer_fn`` replaces ``transfer`` for the top-level statements."""
     tf = transfer_fn or transfer
-    state = BOT_STATE
-    states: list[AbstractState] = []
     findings: list[Finding] = []
-    seen = set()
-    for s in p.statements:
-        state = tf(s, state)
-        states.append(state)
+    for s in statements:
+        key = None
+        if values is not None:
+            kind = type(s)
+            if kind is Select:
+                key = (id(s), state.env.get(s.source))
+            elif kind is Merge:
+                key = (id(s), state.env.get(s.left), state.env.get(s.right))
+            if key is not None:
+                hit = values.get(key)
+                if hit is not None:
+                    state = state.bind(s.target, hit)
+                    continue
+        try:
+            state = tf(s, state)
+        except AnalysisError as e:
+            warnings.append(str(e) if cell is None else f"cell {cell}: {e}")
+            continue
+        if key is not None:
+            values[key] = state.env[s.target]
+            continue
         uses = stmt_uses(s)
         if uses:
-            for f in check_leakage(state, uses):
-                if f.key not in seen:
-                    seen.add(f.key)
-                    findings.append(f)
-    return ProgramRun(list(p.statements), states, state, findings)
+            hits = check_leakage(state, uses)
+            if hits:
+                if halt:
+                    findings.append(hits[0])
+                    return state, findings, True
+                findings.extend(hits)
+    return state, findings, False

@@ -340,15 +340,15 @@ def _replace_row(key: InputKey, file: str, row: int, repl) -> InputKey:
 Dependency = tuple[str, int, str, int]  # file, row, variable, row
 
 
-def alpha_dependencies(ts: TraceSet, inputs=None, used=None) -> frozenset[Dependency]:
+def alpha_dependencies(ts: TraceSet) -> frozenset[Dependency]:
     """Row-level dependencies recovered from a complete trace table: file row
-    r feeds variable o at row r' when some single-row flip changes o[r']."""
-    files = tuple(sorted(inputs)) if inputs is not None else ts.files
-    vars_ = tuple(used) if used is not None else ts.train_vars + ts.test_vars
+    r feeds used variable o at row r' when some single-row flip changes
+    o[r']."""
+    vars_ = ts.train_vars + ts.test_vars
     deps: set[Dependency] = set()
     for key, row in ts.entries.items():
         frames = dict(key)
-        for f in files:
+        for f in ts.files:
             nrows, ncols = ts.shapes[f]
             for r in range(nrows):
                 for repl in itertools.product(ts.values, repeat=ncols):

@@ -12,9 +12,10 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .domains import source_to_json
 from .engine import PropagationConfig, analyze_notebook
-from .interp import Finding, run_program
-from .lang import parse_program
+from .interp import Finding, run_program, transfer
+from .lang import parse_program, stmt_text
 from .notebook import KnowledgeBase, load_notebook, NotebookError
 
 SCHEMA = "dlcheck-report/1"
@@ -100,16 +101,29 @@ def analyze_path(path, cfg: PropagationConfig | None = None,
         report.warnings = analysis.warnings
         report.timing_ms = {"translate": (t1 - t0) * 1e3, "analyze": (t2 - t1) * 1e3}
     else:
+        steps = []
+
+        def recorded(s, m):
+            m = transfer(s, m)
+            steps.append((s, m))
+            return m
+
         t0 = time.perf_counter()
         program = parse_program(text_or_bytes.decode("utf-8"))
         t1 = time.perf_counter()
-        run = run_program(program)
+        _, findings, _ = run_program(program.statements,
+                                     warnings=report.warnings,
+                                     transfer_fn=recorded if dump_state else None)
         t2 = time.perf_counter()
+        first = {f.key: f for f in reversed(findings)}  # the first per key
         report.findings = _sorted_findings(
-            _finding_dict(f) for f in run.findings)
+            _finding_dict(f) for f in first.values())
         report.timing_ms = {"parse": (t1 - t0) * 1e3, "analyze": (t2 - t1) * 1e3}
         if dump_state:
-            report.states = run.state_dump()
+            report.states = [
+                {"statement": stmt_text(s),
+                 "env": {v: source_to_json(val) for v, val in m.env.items()}}
+                for s, m in steps]
     return report
 
 

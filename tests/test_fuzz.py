@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 import dlcheck
-from dlcheck import fuzz
+from dlcheck import fuzz, interp
+from dlcheck.engine import PropagationConfig, analyze_notebook
 from dlcheck.fuzz import (
     MAX_FILES,
     MAX_ROWS,
@@ -18,6 +19,7 @@ from dlcheck.fuzz import (
     fuzz_soundness,
     generate_program,
 )
+from dlcheck.interp import AnalysisError
 from dlcheck.lang import (
     Apply,
     Merge,
@@ -29,8 +31,10 @@ from dlcheck.lang import (
     Select,
     Use,
     parse_program,
+    program_text,
     used_vars,
 )
+from dlcheck.notebook import CellIR, Notebook
 from dlcheck.oracle import ConcreteFrame, OracleError, check_lemma1, concrete_run
 
 
@@ -235,6 +239,50 @@ def test_lemma1_false_implies_finding_on_known_leak():
     deps = concrete_run(p, inputs)
     assert not check_lemma1(deps, {"a"}, {"b"})
     assert check_program(p, inputs) == []
+
+
+def test_a_statement_the_analyzer_skips_is_a_violation():
+    """The fold skips a statement whose transfer fails, with a warning.  The
+    soundness check counts the warning, even where the concrete run leaks
+    nothing and every variable stays covered."""
+    p = parse_program('x = read("f0.csv")\ny = normalize(x)\ntrain(y)')
+
+    def failing(s, m):
+        if isinstance(s, Apply):
+            raise AnalysisError("unsupported transform", s.site)
+        return interp.transfer(s, m)
+
+    inputs = {"f0.csv": ConcreteFrame.of([3, 9])}
+    assert check_program(p, inputs) == []
+    problems = check_program(p, inputs, failing)
+    assert [q for q in problems if q.startswith("analyzer skipped")] == [
+        "analyzer skipped a statement: unsupported transform (at line 2)",
+        "analyzer skipped a statement: unbound variable 'y' (at line 3)"]
+
+
+def test_program_and_one_cell_notebook_report_the_same_findings():
+    """Generated programs give the same findings (key, witness, sites) when
+    the fold runs them and when they are the one cell of a notebook
+    analyzed with halt-on-finding off."""
+    rng = random.Random(23)
+    cfg = PropagationConfig(halt_on_finding=False)
+    with_findings = 0
+    for _ in range(300):
+        p, _inputs = generate_program(rng)
+        warnings = []
+        _, findings, halted = interp.run_program(p.statements, warnings=warnings)
+        first = {}
+        for f in findings:
+            first.setdefault(f.key, f)
+        nb = Notebook((CellIR(1, "", p.statements, frozenset(), (), ()),))
+        analysis = analyze_notebook(nb, cfg)
+        assert [(f.key, f.witness, f.train_site, f.test_site)
+                for _, f in sorted(first.items())] == [
+            (r.finding.key, r.finding.witness, r.finding.train_site,
+             r.finding.test_site) for r in analysis.findings], program_text(p)
+        assert warnings == analysis.warnings == [] and not halted
+        with_findings += bool(findings)
+    assert 30 < with_findings < 300
 
 
 def test_read_use_only_programs_trivially_sound():

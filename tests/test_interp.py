@@ -135,9 +135,27 @@ def test_unbound_variable_reported():
 
 # -- whole-program analysis -----------------------------------------------------
 
+def _findings(text):
+    warnings = []
+    _, findings, halted = run_program(parse_program(text).statements,
+                                      warnings=warnings)
+    assert warnings == [] and not halted
+    return findings
+
+
 def test_worked_example_states_and_finding():
-    run = run_program(parse_program(MOTIVATING))
-    m1, m2, m3, m4, m5 = run.states[:5]
+    states = []
+
+    def recorded(s, m):
+        m = transfer(s, m)
+        states.append(m)
+        return m
+
+    warnings = []
+    _, findings, _ = run_program(parse_program(MOTIVATING).statements,
+                                 warnings=warnings, transfer_fn=recorded)
+    assert warnings == []
+    m1, m2, m3, m4, m5 = states[:5]
     full = rows(0, "inf")
     assert m1.env["data"].frames == frozenset({frame("data.csv")})
     assert not m1.env["data"].tainted
@@ -147,11 +165,11 @@ def test_worked_example_states_and_finding():
     assert m4.env["X_train"] == m3.env["X_norm"]
     assert m5.env["X_test"] == m3.env["X_norm"]
     assert all(f.rows == full for f in m5.env["X_test"].frames)
-    assert [f.key for f in run.findings] == [("taint", "X_train", "X_test")]
+    assert [f.key for f in findings] == [("taint", "X_train", "X_test")]
 
 
 def test_clean_split_then_normalize():
-    findings = run_program(parse_program("""
+    findings = _findings("""
         data = read("data.csv")
         a = data.select[[0 .. 1]][]
         b = data.select[[2 .. 3]][]
@@ -159,12 +177,12 @@ def test_clean_split_then_normalize():
         te = normalize(b)
         train(tr)
         test(te)
-    """)).findings
+    """)
     assert findings == []
 
 
 def test_no_uses_no_findings():
-    findings = run_program(parse_program('x = read("f")\ny = normalize(x)')).findings
+    findings = _findings('x = read("f")\ny = normalize(x)')
     assert findings == []
 
 

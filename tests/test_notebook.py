@@ -10,7 +10,7 @@ import pytest
 from conftest import corpus_cases
 
 from dlcheck.corpus import notebook_bytes
-from dlcheck.engine import analyze_notebook
+from dlcheck.engine import PropagationConfig, analyze_notebook
 from dlcheck.lang import (
     Apply,
     Branch,
@@ -467,6 +467,30 @@ def test_loading_leaves_no_reference_cycle():
     assert any(isinstance(s, Branch) for s in nb.cells[2].statements)
     assert any(isinstance(s, Loop) for s in nb.cells[3].statements)
     assert analyze_notebook(nb).findings
+
+
+@pytest.mark.parametrize("halt", [True, False])
+def test_analysis_leaves_no_reference_cycle(halt):
+    """A fanout-shaped notebook (one read, commuting sibling cells, a cell
+    that uses all siblings): the search recurses, memoizes and caches, and
+    everything it makes is freed by reference counting."""
+    data = notebook_bytes(
+        ["import pandas as pd\ndf = pd.read_csv('a.csv')"]
+        + [f"x{j} = df.dropna()" for j in range(3)]
+        + ["w = pd.concat([x0, x1, x2])\nhold = x1.iloc[10:20]\nm.fit(w)\n"
+           "m.predict(hold)"])
+    nb = load_notebook(data)
+    cfg = PropagationConfig(halt_on_finding=halt)
+    analyze_notebook(nb, cfg)
+    gc.collect()
+    gc.disable()
+    try:
+        analysis = analyze_notebook(nb, cfg)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert [r.finding.key for r in analysis.findings] == [("overlap", "w", "hold")]
+    assert len(analysis.traces) > 4
 
 
 # -- notebook loading ------------------------------------------------------------
