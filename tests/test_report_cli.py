@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 
 import pytest
 
@@ -6,6 +8,8 @@ from conftest import CORPUS_DIR
 
 from dlcheck.cli import main
 from dlcheck.corpus import notebook_bytes, synthetic_notebook
+from dlcheck.fuzz import generate_program
+from dlcheck.lang import program_text
 from dlcheck.report import analyze_path, bench_notebook, score_corpus
 
 MOTIVATING = """data = read("data.csv")
@@ -391,3 +395,34 @@ def test_exit_code_is_independent_of_timing(tmp_path):
     p.write_text(CLEAN)
     for _ in range(3):
         assert analyze_path(p).exit_code == 0
+
+
+PROGRAM_REPORTS_DIGEST = "c9a6730a3ffa9eead5545c1eb19dcc1a02b099402ee6b94abc9a7873424a95cc"
+
+
+def _program_reports_digest(tmp_path) -> str:
+    """One sha256 over the JSON and text reports, with states, of the
+    ``.dfl`` corpus and 300 seeded generated programs.  The JSON drops
+    ``timing_ms`` and names the target by its file name; the text drops its
+    timing line."""
+    rng = random.Random(23)
+    paths = sorted((CORPUS_DIR.parent / "dfl").glob("*.dfl"))
+    for i in range(300):
+        p = tmp_path / f"gen{i:03}.dfl"
+        p.write_text(program_text(generate_program(rng)[0]) + "\n")
+        paths.append(p)
+    h = hashlib.sha256()
+    for path in paths:
+        report = analyze_path(path, dump_state=True)
+        doc = json.loads(report.to_json())
+        del doc["timing_ms"]
+        doc["target"] = path.name
+        text = report.to_text().replace(str(path), path.name)
+        h.update(json.dumps(doc, sort_keys=True).encode())
+        h.update("\n".join(line for line in text.splitlines()
+                           if not line.startswith("timing: ")).encode())
+    return h.hexdigest()
+
+
+def test_program_reports_are_unchanged(tmp_path):
+    assert _program_reports_digest(tmp_path) == PROGRAM_REPORTS_DIGEST
