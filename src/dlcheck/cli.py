@@ -56,13 +56,9 @@ def _add_common(p):
 
 def cmd_analyze(args) -> int:
     from .report import analyze_path
-    notebook = Path(args.path).suffix == ".ipynb"
-    if notebook and args.dump_state:
+    if Path(args.path).suffix == ".ipynb" and args.dump_state:
         raise UsageError("analyze: --dump-state applies to .dfl programs, not "
                          "to an .ipynb notebook")
-    if not notebook and args.start_cell is not None:
-        raise UsageError("analyze: --start-cell applies to .ipynb notebooks, "
-                         "not to a .dfl program")
     report = analyze_path(
         args.path, cfg=_prop_config(args), kb=_load_kb(args),
         dump_state=args.dump_state, start=args.start_cell)
@@ -161,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump-state", action="store_true",
                    help="include per-statement abstract states (.dfl only)")
     p.add_argument("--start-cell", type=int, default=None,
-                   help="propagate from this cell only (.ipynb only)")
+                   help="propagate from this cell only (a .dfl program is cell 1)")
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("corpus", help="score a labeled notebook corpus")

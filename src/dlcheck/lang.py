@@ -8,9 +8,10 @@ per-row transform), and train/test uses.  Row positions may be symbolic
 like ``split+1`` stay representable.
 
 The text format is line oriented (one statement per line, ``#`` comments);
-the grammar is documented in docs/dfl.md.  ``Branch``, ``Loop`` and ``Phi``
-are analyzer-internal control-flow nodes produced by the notebook frontend;
-they have no surface syntax.
+the grammar is documented in docs/dfl.md.  A program is straight-line.
+``Branch``, ``Loop`` and ``Phi`` are analyzer-internal control-flow nodes
+that the notebook frontend emits into cells; they have no surface syntax,
+and a ``Program`` holds none of them.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ class ParseError(DslError):
 
 
 class SsaError(DslError):
-    """A variable is assigned more than once on a single path."""
+    """A program assigns a variable more than once."""
 
 
 class UndefinedVariableError(DslError):
@@ -240,11 +241,8 @@ class Branch:
 
 @dataclass(frozen=True)
 class Loop:
-    """Analyzer-internal: a body iterated zero or more times.
-
-    Loop bodies are exempt from single-assignment so a body can rebind its
-    own targets between iterations.
-    """
+    """Analyzer-internal: a body iterated zero or more times; the body may
+    rebind its own targets between iterations."""
 
     body: tuple["Statement", ...]
     site: str | None = field(default=None, compare=False)
@@ -288,65 +286,33 @@ def stmt_sources(s: Statement) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class Program:
+    """A straight-line sequence of ``Read``, ``Select``, ``Merge``,
+    ``Apply`` and ``Use`` statements."""
+
     statements: tuple[Statement, ...]
 
     def __post_init__(self):
-        _validate(self.statements, set(), set(), in_loop=False)
+        defined: set[str] = set()
+        for s in self.statements:
+            if not isinstance(s, (Read, Select, Merge, Apply, Use)):
+                raise DslError(f"{type(s).__name__} is not a program statement")
+            for v in stmt_sources(s):
+                if v not in defined:
+                    raise UndefinedVariableError(
+                        f"use of undefined variable {v!r} (at {s.site or '?'})")
+            t = stmt_target(s)
+            if t is not None:
+                if t in defined:
+                    raise SsaError(f"variable {t!r} assigned more than once (at {s.site or '?'})")
+                defined.add(t)
 
     def __str__(self) -> str:
         return program_text(self)
 
 
-def _validate(stmts, defined: set, taken: set, in_loop: bool):
-    for s in stmts:
-        if isinstance(s, Branch):
-            arm_defs = []
-            for arm in s.arms:
-                d = set(defined)
-                _validate(arm, d, taken, in_loop)
-                arm_defs.append(d)
-            if arm_defs:
-                defined |= set.union(*arm_defs)
-            continue
-        if isinstance(s, Loop):
-            d = set(defined)
-            _validate(s.body, d, taken, in_loop=True)
-            defined |= d
-            continue
-        if isinstance(s, Phi):
-            for v in s.sources:
-                if v not in taken and v not in defined:
-                    raise UndefinedVariableError(
-                        f"phi source {v!r} never assigned (at {s.site or '?'})")
-        else:
-            for v in stmt_sources(s):
-                if v not in defined:
-                    raise UndefinedVariableError(
-                        f"use of undefined variable {v!r} (at {s.site or '?'})")
-        t = stmt_target(s)
-        if t is not None:
-            if t in taken and not (in_loop and t in defined):
-                raise SsaError(f"variable {t!r} assigned more than once (at {s.site or '?'})")
-            defined.add(t)
-            taken.add(t)
-
-
 def input_sources(p: Program) -> frozenset[str]:
     """All data file names read by the program."""
-    files: set[str] = set()
-
-    def walk(stmts):
-        for s in stmts:
-            if isinstance(s, Read):
-                files.add(s.file)
-            elif isinstance(s, Branch):
-                for arm in s.arms:
-                    walk(arm)
-            elif isinstance(s, Loop):
-                walk(s.body)
-
-    walk(p.statements)
-    return frozenset(files)
+    return frozenset(s.file for s in p.statements if isinstance(s, Read))
 
 
 def stmt_uses(s: Statement) -> tuple[Use, ...]:
@@ -365,8 +331,8 @@ def used_vars(p: Program) -> tuple[frozenset[str], frozenset[str]]:
     train: set[str] = set()
     test: set[str] = set()
     for s in p.statements:
-        for u in stmt_uses(s):
-            (train if u.kind == "train" else test).update(u.args)
+        if isinstance(s, Use):
+            (train if s.kind == "train" else test).update(s.args)
     return frozenset(train), frozenset(test)
 
 

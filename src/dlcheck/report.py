@@ -9,14 +9,14 @@ from __future__ import annotations
 import json
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .domains import source_to_json
 from .engine import PropagationConfig, analyze_notebook
 from .interp import Finding, run_program, transfer
 from .lang import parse_program, stmt_text
-from .notebook import KnowledgeBase, load_notebook, NotebookError
+from .notebook import CellIR, KnowledgeBase, load_notebook, Notebook, NotebookError
 
 SCHEMA = "dlcheck-report/1"
 
@@ -65,7 +65,7 @@ class Report:
         return "\n".join(lines)
 
 
-def _finding_dict(f: Finding, trace=None) -> dict:
+def _finding_dict(f: Finding, trace) -> dict:
     d = {
         "kind": f.kind,
         "train_var": f.train_var,
@@ -79,28 +79,33 @@ def _finding_dict(f: Finding, trace=None) -> dict:
     return d
 
 
-def _sorted_findings(fs):
-    return sorted(fs, key=lambda d: (d["kind"], d["train_var"], d["test_var"]))
-
-
 def analyze_path(path, cfg: PropagationConfig | None = None,
                  kb: KnowledgeBase | None = None, dump_state: bool = False,
                  start: int | None = None) -> Report:
-    """Analyze a .dfl program or .ipynb notebook file."""
+    """Analyze a .dfl program or .ipynb notebook file.  A program is
+    analyzed as a notebook of one cell, with id 1, run to its end: its
+    findings carry no trace."""
     path = Path(path)
     report = Report(target=str(path))
-    text_or_bytes = path.read_bytes()
-    if path.suffix == ".ipynb":
-        t0 = time.perf_counter()
-        nb = load_notebook(text_or_bytes, kb)
-        t1 = time.perf_counter()
-        analysis = analyze_notebook(nb, cfg, start=start)
-        t2 = time.perf_counter()
-        report.findings = _sorted_findings(
-            _finding_dict(r.finding, r.trace) for r in analysis.findings)
-        report.warnings = analysis.warnings
-        report.timing_ms = {"translate": (t1 - t0) * 1e3, "analyze": (t2 - t1) * 1e3}
+    data = path.read_bytes()
+    notebook = path.suffix == ".ipynb"
+    t0 = time.perf_counter()
+    if notebook:
+        nb = load_notebook(data, kb)
     else:
+        text = data.decode("utf-8")
+        program = parse_program(text)
+        nb = Notebook((CellIR(1, text, program.statements, frozenset(), (), ()),))
+        cfg = replace(cfg or PropagationConfig(), halt_on_finding=False)
+    t1 = time.perf_counter()
+    analysis = analyze_notebook(nb, cfg, start=start)
+    t2 = time.perf_counter()
+    report.findings = [_finding_dict(r.finding, r.trace if notebook else None)
+                       for r in analysis.findings]
+    report.warnings = analysis.warnings
+    report.timing_ms = {"translate" if notebook else "parse": (t1 - t0) * 1e3,
+                        "analyze": (t2 - t1) * 1e3}
+    if dump_state and not notebook:
         steps = []
 
         def recorded(s, m):
@@ -108,22 +113,11 @@ def analyze_path(path, cfg: PropagationConfig | None = None,
             steps.append((s, m))
             return m
 
-        t0 = time.perf_counter()
-        program = parse_program(text_or_bytes.decode("utf-8"))
-        t1 = time.perf_counter()
-        _, findings, _ = run_program(program.statements,
-                                     warnings=report.warnings,
-                                     transfer_fn=recorded if dump_state else None)
-        t2 = time.perf_counter()
-        first = {f.key: f for f in reversed(findings)}  # the first per key
-        report.findings = _sorted_findings(
-            _finding_dict(f) for f in first.values())
-        report.timing_ms = {"parse": (t1 - t0) * 1e3, "analyze": (t2 - t1) * 1e3}
-        if dump_state:
-            report.states = [
-                {"statement": stmt_text(s),
-                 "env": {v: source_to_json(val) for v, val in m.env.items()}}
-                for s, m in steps]
+        run_program(program.statements, warnings=[], transfer_fn=recorded)
+        report.states = [
+            {"statement": stmt_text(s),
+             "env": {v: source_to_json(val) for v, val in m.env.items()}}
+            for s, m in steps]
     return report
 
 

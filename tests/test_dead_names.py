@@ -1,6 +1,8 @@
 """Every module-level function, class and constant of the package is named
 somewhere in ``src/``, ``tests/`` or ``perfbench/`` outside its own
-definition; a definition nothing names is dead code.  Dunders are exempt."""
+definition; a definition nothing names is dead code.  Dunders are exempt.
+Every module-level import of a package module other than ``__init__.py``
+(which re-exports) is named again in its module."""
 
 import ast
 import re
@@ -40,3 +42,22 @@ def test_every_module_level_definition_is_named_elsewhere():
             if everywhere[name] == _words(lines[first - 1:last])[name]:
                 dead.append(f"{path.name}:{first} {name}")
     assert dead == []
+
+
+def test_every_module_level_import_is_used():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        named = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                if name not in named:
+                    unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []

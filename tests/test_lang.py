@@ -1,11 +1,19 @@
+import gc
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from dlcheck.fuzz import generate_program
 from dlcheck.lang import (
     INF,
     Apply,
+    Branch,
+    DslError,
+    Loop,
     Merge,
     ParseError,
+    Phi,
     Program,
     Read,
     RowExpr,
@@ -63,6 +71,16 @@ def test_undefined_variable_rejected():
         parse_program("y = normalize(x)")
 
 
+@pytest.mark.parametrize("node", [
+    Branch(((), ())),
+    Loop((Apply("b", "clean", "a"),)),
+    Phi("b", ("a",)),
+], ids=["Branch", "Loop", "Phi"])
+def test_program_rejects_control_flow(node):
+    with pytest.raises(DslError, match=f"^{type(node).__name__} is not a program statement$"):
+        Program((Read("a", "f"), node))
+
+
 def test_syntax_error_carries_line():
     with pytest.raises(ParseError) as e:
         parse_program('a = read("f")\nb = ???')
@@ -91,6 +109,18 @@ def test_input_sources():
     assert input_sources(parse_program("")) == frozenset()
     two = parse_program('a = read("a.csv")\nb = read("b.csv")')
     assert input_sources(two) == {"a.csv", "b.csv"}
+
+
+def test_input_sources_leaves_no_reference_cycle():
+    p, _ = generate_program(random.Random(3))
+    gc.collect()
+    gc.disable()
+    try:
+        files = input_sources(p)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert files
 
 
 def test_used_vars():

@@ -113,12 +113,19 @@ def test_cli_rejects_dump_state_on_a_notebook(capsys):
                        "not to an .ipynb notebook\n")
 
 
-def test_cli_rejects_start_cell_on_a_program(motivating_dfl, capsys):
-    assert main(["analyze", str(motivating_dfl), "--start-cell", "1"]) == 2
+def test_cli_start_cell_on_a_program_names_cell_1(motivating_dfl, capsys):
+    """A program is the one cell, id 1, of a notebook."""
+    assert main(["analyze", str(motivating_dfl), "--format", "json"]) == 1
+    plain = json.loads(capsys.readouterr().out)
+    assert main(["analyze", str(motivating_dfl), "--format", "json",
+                 "--start-cell", "1"]) == 1
+    started = json.loads(capsys.readouterr().out)
+    assert plain.pop("timing_ms").keys() == started.pop("timing_ms").keys()
+    assert started == plain
+    assert main(["analyze", str(motivating_dfl), "--start-cell", "2"]) == 2
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err == ("analyze: --start-cell applies to .ipynb notebooks, "
-                       "not to a .dfl program\n")
+    assert out.err == "error: no cell 2: the notebook's cell ids are 1 to 1\n"
 
 
 def test_cli_k_inf_and_no_halt(capsys):
