@@ -61,7 +61,7 @@ class KnowledgeBase:
 
     Namespaces: a module path ("pandas", "sklearn.preprocessing"), "df" for
     data-frame methods, or "*" for match-by-name-only.  Lookup tries the
-    given namespaces in order and falls back to "*".
+    call's one namespace (see ``_Translator.callee``) and falls back to "*".
     """
 
     entries: dict[tuple[str, str], str]
@@ -91,18 +91,14 @@ class KnowledgeBase:
             entries[(e["namespace"], e["function"])] = cls
         return KnowledgeBase(entries)
 
-    def lookup(self, namespaces, function: str) -> str:
-        return self.lookup_entry(namespaces, function)[0]
-
-    def lookup_entry(self, namespaces, function: str) -> tuple[str, str | None]:
-        """The statement class and the namespace the match came from."""
-        for ns in namespaces:
+    def lookup(self, namespace: str | None,
+               function: str) -> tuple[str, str | None]:
+        """The statement class and the namespace the match came from:
+        ``namespace``'s entry, else the "*" entry, else ("unknown", None)."""
+        for ns in (namespace, "*"):
             cls = self.entries.get((ns, function))
             if cls is not None:
                 return cls, ns
-        cls = self.entries.get(("*", function))
-        if cls is not None:
-            return cls, "*"
         return "unknown", None
 
 
@@ -315,6 +311,23 @@ class _Translator:
             return ".".join(reversed(parts))
         return None
 
+    def callee(self, func) -> tuple[str | None, str | None, ast.expr | None]:
+        """(function name, knowledge-base namespace, receiver) of a call's
+        ``func``.  The namespace is the module path of ``m.f`` or of
+        ``from m import f``, "df" for a method of any other receiver, and
+        None for a bare name; the name is None when ``func`` is no name."""
+        if isinstance(func, ast.Attribute):
+            mod = self.resolve_module(func.value)
+            if mod is not None:
+                return func.attr, mod, None
+            return func.attr, "df", func.value
+        if isinstance(func, ast.Name):
+            if func.id in self.from_imports:
+                mod, fn = self.from_imports[func.id]
+                return fn, mod, None
+            return func.id, None, None
+        return None, None, None
+
     def df_args(self, call: ast.Call) -> list[str]:
         """Renamed names of the call's positional data-frame arguments,
         flattening a single list/tuple literal."""
@@ -422,7 +435,7 @@ class _Translator:
             # arbitrary attribute reads would turn models into frames.
             if self.resolve_module(node) is not None:
                 return None
-            known = self.kb.lookup_entry(["df"], node.attr)[1] == "df"
+            known = self.kb.lookup("df", node.attr)[1] == "df"
             recv = self.eval_expr(node.value, allow_unbound_df=known)
             if recv in self.df_vars:
                 return self.define(target, Apply, node.attr, recv)
@@ -452,7 +465,7 @@ class _Translator:
         recv = self.eval_expr(base, allow_unbound_df=True)
         if recv not in self.df_vars:
             return None
-        if self.kb.lookup(["df"], accessor) != "select":
+        if self.kb.lookup("df", accessor)[0] != "select":
             return self.define(target, Apply, accessor, recv)
         rows, cols, ok = self.subscript_selector(node.slice, accessor)
         if not ok:
@@ -460,30 +473,12 @@ class _Translator:
         return self.define(target, Select, recv, rows=rows, cols=cols)
 
     def eval_call(self, node: ast.Call, target=None) -> str | None:
-        func = node.func
-        fn = None
-        namespaces = []
-        recv_node = None
-
-        if isinstance(func, ast.Attribute):
-            fn = func.attr
-            mod = self.resolve_module(func.value)
-            if mod is not None:
-                namespaces = [mod]
-            else:
-                namespaces = ["df"]
-                recv_node = func.value
-        elif isinstance(func, ast.Name):
-            fn = func.id
-            if fn in self.defs:
-                return self.inline_call(fn, node, target)
-            if fn in self.from_imports:
-                namespaces = [self.from_imports[fn][0]]
-                fn = self.from_imports[fn][1]
+        if isinstance(node.func, ast.Name) and node.func.id in self.defs:
+            return self.inline_call(node.func.id, node, target)
+        fn, ns, recv_node = self.callee(node.func)
         if fn is None:
             return None
-
-        cls, matched_ns = self.kb.lookup_entry(namespaces, fn)
+        cls, matched_ns = self.kb.lookup(ns, fn)
 
         # A method receiver may be an unbound frame from an earlier cell only
         # when the knowledge base declares the method on frames; receivers of
@@ -677,28 +672,20 @@ class _Translator:
             self.cur[base] = out
 
     def _retarget(self, old: str, new: str):
-        for i in range(len(self.stmts) - 1, -1, -1):
-            s = self.stmts[i]
-            if getattr(s, "target", None) == old:
-                self.stmts[i] = dataclasses_replace(s, target=new)
-                self.df_vars.discard(old)
-                self.df_vars.add(new)
-                return
-        raise AssertionError(f"no statement targets {old}")
+        # The statement bound to ``old`` is the last one emitted: the
+        # outermost statement follows its operands', and an inlined call
+        # stops at its return.
+        self.stmts[-1] = dataclasses_replace(self.stmts[-1], target=new)
+        self.df_vars.discard(old)
+        self.df_vars.add(new)
 
     def translate_split(self, target_tuple: ast.Tuple, value) -> bool:
         """Lower ``a, b[, c, d] = train_test_split(...)`` into complementary
         selections around a fresh split point."""
         if not isinstance(value, ast.Call):
             return False
-        func = value.func
-        fn = func.attr if isinstance(func, ast.Attribute) else (
-            func.id if isinstance(func, ast.Name) else None)
-        if fn is None:
-            return False
-        if fn in self.from_imports:
-            fn = self.from_imports[fn][1]
-        if self.kb.lookup([], fn) != "split":
+        fn, ns, _ = self.callee(value.func)
+        if fn is None or self.kb.lookup(ns, fn)[0] != "split":
             return False
         names = [t.id if isinstance(t, ast.Name) else None for t in target_tuple.elts]
         if any(n is None for n in names):
@@ -769,9 +756,7 @@ class _Translator:
                           (), (f"syntax error: {tree.msg}{where}",))
         statements = self.translate_body(tree.body)
         exports = tuple(
-            (base, name) for base, name in self.cur.items()
-            if name in self.df_vars and not base.startswith("_t")
-        )
+            (base, name) for base, name in self.cur.items() if name in self.df_vars)
         return CellIR(
             self.cell_id, source, statements,
             cell_precondition(statements), exports, tuple(self.warnings),

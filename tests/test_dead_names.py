@@ -1,6 +1,7 @@
-"""Every module-level function, class and constant of the package is named
-somewhere in ``src/``, ``tests/`` or ``perfbench/`` outside its own
-definition; a definition nothing names is dead code.  Dunders are exempt.
+"""Every module-level function, class and constant of the package, and
+every method of its module-level classes, is named somewhere in ``src/``,
+``tests/`` or ``perfbench/`` outside its own definition; a definition
+nothing names is dead code.  Dunders are exempt.
 Every module-level import of a package module other than ``__init__.py``
 (which re-exports) is named again in its module."""
 
@@ -14,10 +15,15 @@ PACKAGE = ROOT / "src" / "dlcheck"
 
 
 def _definitions(tree: ast.Module):
-    """(name, first line, last line) of each module-level definition."""
+    """(name, first line, last line) of each module-level definition and
+    of each method of a module-level class."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield node.name, node.lineno, node.end_lineno
+        if isinstance(node, ast.ClassDef):
+            for m in node.body:
+                if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield m.name, m.lineno, m.end_lineno
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for t in targets:

@@ -848,10 +848,10 @@ def test_unbound_model_receivers_are_not_frames():
 
 def test_kb_lookup_order():
     kb = default_kb()
-    assert kb.lookup(["pandas"], "read_csv") == "source"
-    assert kb.lookup(["df"], "iloc") == "select"
-    assert kb.lookup([], "fit") == "train"
-    assert kb.lookup([], "no_such_fn") == "unknown"
+    assert kb.lookup("pandas", "read_csv") == ("source", "pandas")
+    assert kb.lookup("df", "iloc") == ("select", "df")
+    assert kb.lookup(None, "fit") == ("train", "*")
+    assert kb.lookup(None, "no_such_fn") == ("unknown", None)
 
 
 def test_kb_loads_from_custom_path(tmp_path):
@@ -860,9 +860,42 @@ def test_kb_loads_from_custom_path(tmp_path):
         {"namespace": "*", "function": "mynorm", "class": "normalize"},
     ]}))
     kb = KnowledgeBase.load(path)
-    assert kb.lookup([], "mynorm") == "normalize"
+    assert kb.lookup(None, "mynorm") == ("normalize", "*")
     cell = translate_cell("y = mynorm(x)", kb=kb)
     assert cell.statements == (Apply("y", "normalize", "x"),)
+
+
+@pytest.mark.parametrize("imports, split", [
+    ("from sklearn.model_selection import train_test_split", "train_test_split"),
+    ("import sklearn.model_selection as ms", "ms.train_test_split"),
+], ids=["from-import", "module-alias"])
+def test_split_is_looked_up_in_its_module_namespace(imports, split):
+    """A knowledge base that lists the splitter under its module only still
+    splits a tuple assignment: a split's callee resolves as a call's does."""
+    entries = dict(default_kb().entries)
+    del entries[("*", "train_test_split")]
+    nb = load_notebook(notebook_bytes([
+        "import pandas as pd\n" + imports + "\ndf = pd.read_csv('a.csv')",
+        f"z = StandardScaler().fit_transform(df)\ntr, te = {split}(z)\n"
+        "m.fit(tr)\nm.predict(te)",
+    ]), KnowledgeBase(entries))
+    assert nb.cells[1].warnings == ()
+    assert [r.finding.key for r in analyze_notebook(nb).findings] == [
+        ("taint", "tr", "te")]
+
+
+@pytest.mark.parametrize("name", ["_ts", "_train", "xs"])
+def test_every_user_frame_variable_is_exported(name):
+    """Cell 3 reads the last binding of cell 2's variable, whatever its
+    name starts with; the first binding does not overlap the test rows."""
+    nb = load_notebook(notebook_bytes([
+        'df = pd.read_csv("f.csv")',
+        f"{name} = df.iloc[0:10]\n{name} = df.iloc[50:60]",
+        f"m.fit({name})\nm.predict(df.iloc[55:58])",
+    ]))
+    assert dict(nb.cells[1].exports)[name] == name + "'"
+    assert [r.finding.key for r in analyze_notebook(nb).findings] == [
+        ("overlap", name, "_t0")]
 
 
 def test_kb_rejects_unknown_class(tmp_path):
