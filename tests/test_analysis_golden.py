@@ -1,10 +1,16 @@
-"""The analysis of every notebook ``test_ir_golden`` pins, pinned by a
-per-notebook digest in ``analysis_digests.json``.  The digest covers what
-``analyze_notebook`` reports at K=5 with halt-on-finding on and off: the
-findings (key, witness, file, sites, witness trace), the traces grouped by
-termination reason, the warnings and the number of events.  A change to the
-engine or the domains that should leave every answer as it is must keep
-every digest.  A change that means to alter an answer rewrites the file with
+"""The analysis of every notebook ``test_ir_golden`` pins, pinned by two
+per-notebook digests in ``analysis_digests.json``, both taken from what
+``analyze_notebook`` reports at K=5 with halt-on-finding on and off:
+
+- ``answers`` covers the finding records (key, witness, file, sites,
+  witness trace), the warnings and the number of events;
+- ``search`` covers the traces, grouped by termination reason, each as the
+  cells it ran.
+
+A change to the engine or the domains that should leave every answer as it
+is must keep every ``answers`` digest; a change that only reshapes the
+search keeps them and moves ``search`` digests alone.  A change that means
+to alter either rewrites the file with
 
     PYTHONPATH=src python tests/test_analysis_golden.py
 
@@ -22,32 +28,41 @@ from dlcheck.notebook import load_notebook
 DIGESTS = Path(__file__).with_name("analysis_digests.json")
 
 
-def analysis(data: bytes) -> list:
+def analysis(data: bytes) -> dict[str, list]:
+    """The ``answers`` and ``search`` parts of a notebook's analysis."""
     nb = load_notebook(data)
-    out = []
+    out = {"answers": [], "search": []}
     for halt in (True, False):
         res = analyze_notebook(nb, PropagationConfig(k_bound=5, halt_on_finding=halt))
         reasons = sorted({t.termination for t in res.traces})
-        traces = [[r, canonical([t for t in res.traces if t.termination == r])]
-                  for r in reasons]
-        out.append([canonical(res.findings), traces, res.warnings, res.events])
+        out["answers"].append([canonical(res.findings), res.warnings, res.events])
+        out["search"].append([[r, [t.cells for t in res.traces if t.termination == r]]
+                              for r in reasons])
     return out
 
 
-def analysis_digest(data: bytes) -> str:
-    text = json.dumps(analysis(data), separators=(",", ":"))
+def _digest(x) -> str:
+    text = json.dumps(x, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def analysis_digests(data: bytes) -> dict[str, str]:
+    return {part: _digest(x) for part, x in analysis(data).items()}
 
 
 def test_analysis_is_unchanged():
     pinned = json.loads(DIGESTS.read_text())
-    now = {name: analysis_digest(data) for name, data in notebooks().items()}
-    changed = [name for name in sorted(pinned.keys() | now.keys())
-               if pinned.get(name) != now.get(name)]
-    assert not changed, f"analysis changed: {', '.join(changed)}"
+    now = {name: analysis_digests(data) for name, data in notebooks().items()}
+    changed = []
+    for name in sorted(pinned.keys() | now.keys()):
+        was, got = pinned.get(name, {}), now.get(name, {})
+        parts = [p for p in sorted(was.keys() | got.keys()) if was.get(p) != got.get(p)]
+        if parts:
+            changed.append(f"{name} ({', '.join(parts)})")
+    assert not changed, f"analysis changed: {'; '.join(changed)}"
 
 
 if __name__ == "__main__":
-    digests = {name: analysis_digest(data) for name, data in notebooks().items()}
+    digests = {name: analysis_digests(data) for name, data in notebooks().items()}
     DIGESTS.write_text(json.dumps(digests, indent=0) + "\n")
     print(f"{DIGESTS.name}: {len(digests)} notebooks")
