@@ -70,8 +70,8 @@ class PropagationConfig:
 
 @dataclass(frozen=True)
 class ExecutionTrace:
+    """One branch of the search: the cells it ran and why it stopped."""
     cells: tuple[int, ...]
-    findings: tuple[Finding, ...]
     # bound | no-valid-successor | subsumed | halted-on-finding.  "subsumed"
     # is either a re-entry with a state covered on the same branch (the cell
     # did not run again) or a state an earlier branch already expanded at the
@@ -116,15 +116,13 @@ def _export(cell: CellIR, state: AbstractState) -> AbstractState:
 def propagate(nb: Notebook, start: int, cfg: PropagationConfig | None = None,
               warnings: list | None = None,
               records: list | None = None) -> list[ExecutionTrace]:
-    """All propagation branches from one start cell.
-
-    When ``records`` is given, every finding is also appended to it as a
-    ``FindingRecord`` with the cell chain up to its discovery (leaf traces
-    repeat inherited findings, so leaf length overstates the error path
-    when branches keep running past a finding).
-    """
+    """All propagation branches from one start cell, as traces.  Each
+    finding is appended once, where it is found, to ``records`` as a
+    ``FindingRecord``; the findings made on a trace are the records whose
+    trace is a prefix of its cells."""
     cfg = cfg or PropagationConfig()
     warnings = warnings if warnings is not None else []
+    records = records if records is not None else []
     start_cell = next((c for c in nb.cells if c.id == start), None)
     if start_cell is None:
         ids = [c.id for c in nb.cells]
@@ -156,14 +154,13 @@ def propagate(nb: Notebook, start: int, cfg: PropagationConfig | None = None,
     traces: list[ExecutionTrace] = []
     unhit = float("inf")
 
-    def dfs(cell: CellIR, state_in: AbstractState, path: tuple[int, ...],
-            findings: tuple[Finding, ...]) -> float:
+    def dfs(cell: CellIR, state_in: AbstractState, path: tuple[int, ...]) -> float:
         """Expand one node.  Returns the shallowest depth at which a
         seen-state cut a branch in its subtree (``unhit`` if none did); a
         cut is charged to the deepest seen-state that covers the state."""
         for s, entered in reversed(seen[cell.id]):
             if state_leq(state_in, s):
-                traces.append(ExecutionTrace(path + (cell.id,), findings, "subsumed"))
+                traces.append(ExecutionTrace(path + (cell.id,), "subsumed"))
                 return entered
         path = path + (cell.id,)
         depth = len(path)
@@ -173,36 +170,34 @@ def propagate(nb: Notebook, start: int, cfg: PropagationConfig | None = None,
                 cell.statements, state_in, warnings=warnings,
                 halt=cfg.halt_on_finding, cell=cell.id, values=values,
                 transfer_fn=transfer)
-            findings = findings + tuple(new)
-            if records is not None:
-                records.extend(FindingRecord(f, path) for f in new)
+            records.extend(FindingRecord(f, path) for f in new)
             if halted:
-                traces.append(ExecutionTrace(path, findings, "halted-on-finding"))
+                traces.append(ExecutionTrace(path, "halted-on-finding"))
                 return unhit
             state = _export(cell, state)
             live = frozenset(v for v, a in state.env.items() if a.frames)
             candidates = successors(nb, state, live, cache)
             if not candidates:
-                traces.append(ExecutionTrace(path, findings, "no-valid-successor"))
+                traces.append(ExecutionTrace(path, "no-valid-successor"))
                 return unhit
             if cfg.k_bound is not None and depth >= cfg.k_bound:
-                traces.append(ExecutionTrace(path, findings, "bound"))
+                traces.append(ExecutionTrace(path, "bound"))
                 return unhit
             key = (frozenset(state.env.items()), state.train_uses,
                    state.test_uses)
             if memo.get(key, depth + 1) <= depth:
-                traces.append(ExecutionTrace(path, findings, "subsumed"))
+                traces.append(ExecutionTrace(path, "subsumed"))
                 return unhit
             hit = unhit
             for i in candidates:
-                hit = min(hit, dfs(nb.cells[i], state, path, findings))
+                hit = min(hit, dfs(nb.cells[i], state, path))
             if hit > depth:
                 memo[key] = depth
             return hit
         finally:
             seen[cell.id].pop()
 
-    dfs(start_cell, BOT_STATE, (), ())
+    dfs(start_cell, BOT_STATE, ())
     del dfs  # its closure refers to it: free the event without the cyclic GC
     return traces
 
@@ -213,6 +208,7 @@ def valid_starts(nb: Notebook) -> list[int]:
 
 @dataclass
 class FindingRecord:
+    """A finding, recorded once: ``trace`` ends at the cell that found it."""
     finding: Finding
     trace: tuple[int, ...]
 

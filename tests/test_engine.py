@@ -45,21 +45,25 @@ def test_propagate_rejects_invalid_start():
 
 def test_fig_notebook_halts_with_one_overlap():
     nb = fig_notebook()
-    traces = propagate(nb, 1, PropagationConfig(k_bound=5))
+    records = []
+    traces = propagate(nb, 1, PropagationConfig(k_bound=5), records=records)
     halted = [t for t in traces if t.termination == "halted-on-finding"]
     assert any(t.cells == (1, 2, 3, 4) for t in halted)
     best = min(halted, key=lambda t: len(t.cells))
-    assert len(best.findings) == 1
-    assert best.findings[0].kind == "overlap"
+    # the findings on a trace are the records whose trace is a prefix of it
+    found = [r.finding for r in records if best.cells[:len(r.trace)] == r.trace]
+    assert len(found) == 1
+    assert found[0].kind == "overlap"
 
 
 def test_single_cell_notebook_no_successor():
     nb = load_notebook(notebook_bytes(['df = pd.read_csv("a.csv")']))
-    traces = propagate(nb, 1)
+    records = []
+    traces = propagate(nb, 1, records=records)
     assert len(traces) == 1
     assert traces[0].termination == "no-valid-successor"
     assert traces[0].cells == (1,)
-    assert traces[0].findings == ()
+    assert records == []
 
 
 def test_mutually_feeding_cells_subsume():

@@ -50,33 +50,32 @@ def reference_propagate(nb, start, cfg, warnings, records):
     seen = {c.id: [] for c in nb.cells}
     traces = []
 
-    def dfs(cell, state_in, path, findings):
+    def dfs(cell, state_in, path):
         if any(engine.state_leq(state_in, s) for s in seen[cell.id]):
-            traces.append(ExecutionTrace(path + (cell.id,), findings, "subsumed"))
+            traces.append(ExecutionTrace(path + (cell.id,), "subsumed"))
             return
         seen[cell.id].append(state_in)
         try:
             state, new, halted = reference_run_cell(cell, state_in,
                                                     cfg.halt_on_finding, warnings)
             path = path + (cell.id,)
-            findings = findings + tuple(new)
             records.extend(FindingRecord(f, path) for f in new)
             if halted:
-                traces.append(ExecutionTrace(path, findings, "halted-on-finding"))
+                traces.append(ExecutionTrace(path, "halted-on-finding"))
                 return
             candidates = [c for c in nb.cells if engine.phi(state, c.precondition)]
             if not candidates:
-                traces.append(ExecutionTrace(path, findings, "no-valid-successor"))
+                traces.append(ExecutionTrace(path, "no-valid-successor"))
                 return
             if cfg.k_bound is not None and len(path) >= cfg.k_bound:
-                traces.append(ExecutionTrace(path, findings, "bound"))
+                traces.append(ExecutionTrace(path, "bound"))
                 return
             for c in candidates:
-                dfs(c, state, path, findings)
+                dfs(c, state, path)
         finally:
             seen[cell.id].pop()
 
-    dfs(nb.cell(start), BOT_STATE, (), ())
+    dfs(nb.cell(start), BOT_STATE, ())
     return traces
 
 
