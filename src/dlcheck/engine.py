@@ -106,10 +106,11 @@ def successors(nb: Notebook, state: AbstractState, live: frozenset[str],
 
 def _export(cell: CellIR, state: AbstractState) -> AbstractState:
     """Re-expose each user variable under its plain name so successor cells
-    can bind it."""
+    can bind it; every source is read before any export rebinds a name."""
+    env = state.env
     for base, final in cell.exports:
-        if final in state.env and final != base:
-            state = state.bind(base, state.env[final])
+        if final in env and final != base:
+            state = state.bind(base, env[final])
     return state
 
 

@@ -245,6 +245,21 @@ def test_rebinding_a_train_variable_keeps_the_recorded_use():
     ], k_bound=4) == [(("overlap", "x", "z"), (1, 2, 3, 4))]
 
 
+@pytest.mark.parametrize("halt", [True, False])
+def test_exports_read_the_cell_state_before_any_rebinding(halt):
+    """Cell 2 exports data, bound to the frame df had, and df, rebound to
+    rows 100-200.  The export of data must read df before the export of df
+    rebinds it: the model is fit on rows 0-10 of the original frame."""
+    nb = load_notebook(notebook_bytes([
+        'import pandas as pd\ndf = pd.read_csv("f.csv")\nkeep = df.iloc[0:20]',
+        "data = df\ndf = df.iloc[100:200]",
+        "tr = data.iloc[0:10]\nm.fit(tr)\nm.predict(keep)",
+    ]))
+    res = analyze_notebook(nb, PropagationConfig(k_bound=5, halt_on_finding=halt))
+    assert [(r.finding.key, r.trace) for r in res.findings] == [
+        (("overlap", "tr", "keep"), (1, 2, 3))]
+
+
 def test_siblings_that_feed_no_use_are_not_searched(monkeypatch):
     """One read, six siblings that only read it, and an evaluation cell on
     one sibling, at K=5.  The siblings re-export ``df`` unchanged, which
