@@ -5,8 +5,10 @@ abstract state into every cell whose precondition is covered by it,
 depth-first.  A branch stops when it hits the depth bound, has no valid
 successor, detects a leak while halt-on-finding is enabled, or is
 subsumed: it re-enters a cell with a state already covered there on the
-same branch, or reaches a state that an earlier branch has already
-expanded at the same or a shallower depth.
+same branch, its cell leaves the state it entered with unchanged (the
+parent is expanding that state one level up, over the same successors),
+or it reaches a state that an earlier branch has already expanded at the
+same or a shallower depth.
 
 Only relevant cells are searched (``Notebook.relevant``).  A cell is
 relevant if it holds a train/test use at any depth, or if it writes a
@@ -73,9 +75,10 @@ class ExecutionTrace:
     """One branch of the search: the cells it ran and why it stopped."""
     cells: tuple[int, ...]
     # bound | no-valid-successor | subsumed | halted-on-finding.  "subsumed"
-    # is either a re-entry with a state covered on the same branch (the cell
-    # did not run again) or a state an earlier branch already expanded at the
-    # same or a shallower depth (the cell ran; its successors did not).
+    # is a re-entry with a state covered on the same branch (the cell did not
+    # run again), or the cell ran and its successors did not: it left the
+    # state it entered with unchanged, or an earlier branch already expanded
+    # that state at the same or a shallower depth.
     termination: str
 
 
@@ -183,6 +186,13 @@ def propagate(nb: Notebook, start: int, cfg: PropagationConfig | None = None,
                 return unhit
             if cfg.k_bound is not None and depth >= cfg.k_bound:
                 traces.append(ExecutionTrace(path, "bound"))
+                return unhit
+            # The parent exported ``state_in`` and is expanding it one level
+            # up: an unchanged state's subtree is a deeper copy of that one.
+            # The cut depends on the state alone, so it keeps no expansion
+            # above it out of the memo.
+            if state == state_in:
+                traces.append(ExecutionTrace(path, "subsumed"))
                 return unhit
             key = (frozenset(state.env.items()), state.train_uses,
                    state.test_uses)

@@ -1,10 +1,13 @@
 import pytest
 
+from conftest import CORPUS_DIR
+
 from dlcheck import engine
 from dlcheck.corpus import notebook_bytes
 from dlcheck.domains import SourceAbs, frame
 from dlcheck.engine import (
     EngineError,
+    ExecutionTrace,
     PropagationConfig,
     analyze_notebook,
     phi,
@@ -93,6 +96,40 @@ def test_unbounded_propagation_terminates():
                                                 halt_on_finding=False))
     assert traces
     assert all(t.termination != "bound" for t in traces)
+
+
+def test_rerun_that_changes_nothing_is_not_expanded():
+    """The scaling cell re-run on its own output binds the values it had:
+    the state is the one its parent is expanding one level up, so the
+    re-run stops there."""
+    nb = load_notebook((CORPUS_DIR / "c1_split_then_scale.ipynb").read_bytes())
+    traces = propagate(nb, 2)
+    assert ExecutionTrace((2, 3, 3), "subsumed") in traces
+    assert not any(t.cells[:3] == (2, 3, 3) and len(t.cells) > 3 for t in traces)
+
+
+def test_rerun_that_moves_a_window_is_expanded():
+    nb = load_notebook(notebook_bytes([
+        'import pandas as pd\nr = pd.read_csv("f.csv")\np = r.dropna()',
+        "p = p.iloc[1:]",
+        "m.fit(p)",
+    ]))
+    traces = propagate(nb, 1, PropagationConfig(k_bound=4, halt_on_finding=False))
+    assert any(t.cells[:3] == (1, 2, 2) and len(t.cells) > 3 for t in traces)
+
+
+def test_unbounded_all_uses_fanout_stops_at_unchanged_reruns():
+    """One read, four cells that each fit on their own window, and one
+    prediction on a window none of them holds: every cell re-run adds no
+    use, so the unbounded search stops there instead of running every
+    interleaving of re-runs (48,141 traces)."""
+    nb = load_notebook(notebook_bytes(
+        ['import pandas as pd\ndf = pd.read_csv("f.csv")']
+        + [f"x{i} = df.iloc[{10 * i}:{10 * i + 5}]\nm.fit(x{i})" for i in range(4)]
+        + ["m.predict(df.iloc[500:505])"]))
+    res = analyze_notebook(nb, PropagationConfig(k_bound=None, halt_on_finding=False))
+    assert res.findings == []
+    assert len(res.traces) == 521
 
 
 def test_trace_respects_phi_at_each_step():

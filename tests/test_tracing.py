@@ -2,10 +2,13 @@
 
 ``perfbench/tracing.py`` replaces functions at the module bindings it
 names.  A renamed or no longer used binding fails only in a traced
-benchmark run, so this test installs the tracer, runs two notebook analyses
-and one fuzz program, and checks that every span was entered.  The second
-notebook concatenates overlapping slices: a join of disjoint frame sets
-does not reduce, so without it no ``set_reduce`` span would be entered.
+benchmark run, so this test installs the tracer, runs three notebook
+analyses and one fuzz program, and checks that every span was entered.  The
+second notebook concatenates overlapping slices: a join of disjoint frame
+sets does not reduce, so without it no ``set_reduce`` span would be entered.
+The searches of the first two never compare two different frame sets, so
+the third, whose scaling cell rebinds the variable it reads, is there to
+enter ``set_leq`` (five calls).
 """
 
 import importlib
@@ -33,7 +36,8 @@ def test_tracer_wraps_every_binding_and_restores_it():
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        for name in ("t1_scale_before_split.ipynb", "o6_concat_overlap.ipynb"):
+        for name in ("t1_scale_before_split.ipynb", "o6_concat_overlap.ipynb",
+                     "t4_scale_column_subset.ipynb"):
             data = (CORPUS_DIR / name).read_bytes()
             engine.analyze_notebook(notebook.load_notebook(data))
         assert fuzz.fuzz_soundness(budget=1).ok
