@@ -319,15 +319,16 @@ def test_commuting_siblings_are_expanded_once(monkeypatch):
 
 
 def test_expansion_cut_above_its_node_is_not_reused():
-    """Cells 2 and 3 rebind ``p`` to a window of ``r`` that does not depend
-    on ``p``, so every branch below them re-enters a cell with a state
-    already seen on the path.  Those cuts depend on the path, so no
-    expansion may be reused: the search must explore exactly what the
-    plain search explores."""
+    """Cells 2 and 3 rebind ``p`` to the same window of ``r``, so the
+    branches (1, 2) and (1, 3) reach one state.  Below cell 2, (1, 2, 2)
+    re-enters cell 2 with a state already seen on the path.  That cut
+    depends on the path, so cell 2's expansion may not be reused below
+    cell 3: the search must explore exactly what the plain search
+    explores."""
     nb = load_notebook(notebook_bytes([
         f'{IMPORTS}\nr = pd.read_csv("f.csv")\np = r.dropna()',
         "p = r.iloc[1:]",
-        "p = r.iloc[2:]",
+        "p = r.iloc[1:]",
         "m.fit(p)",
     ]))
     cfg = PropagationConfig(k_bound=3)
