@@ -99,7 +99,7 @@ def test_unbounded_propagation_terminates():
 
 
 def test_rerun_that_changes_nothing_is_not_expanded():
-    """The scaling cell re-run on its own output binds the values it had:
+    """The split cell re-run on its own output binds the values it had:
     the state is the one its parent is expanding one level up, so the
     re-run stops there."""
     nb = load_notebook((CORPUS_DIR / "c1_split_then_scale.ipynb").read_bytes())

@@ -8,7 +8,7 @@ second notebook concatenates overlapping slices: a join of disjoint frame
 sets does not reduce, so without it no ``set_reduce`` span would be entered.
 The searches of the first two never compare two different frame sets, so
 the third, whose scaling cell rebinds the variable it reads, is there to
-enter ``set_leq`` (five calls).
+enter ``set_leq``.
 """
 
 import importlib
