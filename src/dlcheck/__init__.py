@@ -1,6 +1,9 @@
 """Static detection of train/test data leakage in data-frame programs and
 Jupyter notebooks, with a concrete-semantics oracle for differential
-validation."""
+validation.
+
+Importing the package loads the analysis modules only; the oracle and the
+fuzzer are ``dlcheck.oracle`` and ``dlcheck.fuzz``."""
 
 from .lang import (  # noqa: F401
     Apply,
@@ -43,16 +46,5 @@ from .interp import (  # noqa: F401
     run_program,
     transfer,
 )
-from .oracle import (  # noqa: F401
-    ConcreteFrame,
-    OracleError,
-    TraceSet,
-    alpha_dependencies,
-    alpha_pointwise,
-    check_lemma1,
-    concrete_run,
-    enumerate_independence,
-)
-from .fuzz import fuzz_soundness  # noqa: F401
 
 __version__ = "0.1.0"

@@ -127,7 +127,7 @@ def propagate(nb: Notebook, start: int, cfg: PropagationConfig | None = None,
     cfg = cfg or PropagationConfig()
     warnings = warnings if warnings is not None else []
     records = records if records is not None else []
-    start_cell = next((c for c in nb.cells if c.id == start), None)
+    start_cell = nb.by_id.get(start)
     if start_cell is None:
         ids = [c.id for c in nb.cells]
         if ids and ids == list(range(ids[0], ids[0] + len(ids))):
@@ -143,8 +143,8 @@ def propagate(nb: Notebook, start: int, cfg: PropagationConfig | None = None,
     # Seen-states are tracked per branch (append on entry, pop on exit), each
     # with its depth: a branch stops when it re-enters a cell with nothing new
     # to contribute, but a sibling branch reaching the same cell first is not
-    # affected.
-    seen: dict[int, list[tuple[AbstractState, int]]] = {c.id: [] for c in nb.cells}
+    # affected.  A cell's list is made on its first visit.
+    seen: dict[int, list[tuple[AbstractState, int]]] = {}
     # Output state -> the depth of a finished expansion of it.  An expansion
     # is kept only if every seen-state that cut a branch below it was entered
     # strictly below it: then it did not depend on the path that led to it,
@@ -162,13 +162,16 @@ def propagate(nb: Notebook, start: int, cfg: PropagationConfig | None = None,
         """Expand one node.  Returns the shallowest depth at which a
         seen-state cut a branch in its subtree (``unhit`` if none did); a
         cut is charged to the deepest seen-state that covers the state."""
-        for s, entered in reversed(seen[cell.id]):
+        entries = seen.get(cell.id)
+        if entries is None:
+            entries = seen[cell.id] = []
+        for s, entered in reversed(entries):
             if state_leq(state_in, s):
                 traces.append(ExecutionTrace(path + (cell.id,), "subsumed"))
                 return entered
         path = path + (cell.id,)
         depth = len(path)
-        seen[cell.id].append((state_in, depth))
+        entries.append((state_in, depth))
         try:
             state, new, halted = run_program(
                 cell.statements, state_in, warnings=warnings,
@@ -206,7 +209,7 @@ def propagate(nb: Notebook, start: int, cfg: PropagationConfig | None = None,
                 memo[key] = depth
             return hit
         finally:
-            seen[cell.id].pop()
+            entries.pop()
 
     dfs(start_cell, BOT_STATE, ())
     del dfs  # its closure refers to it: free the event without the cyclic GC
@@ -248,9 +251,7 @@ def analyze_notebook(nb: Notebook, cfg: PropagationConfig | None = None,
     Each engine warning is kept once, in first-seen order: a cell whose
     statement fails warns on every visit."""
     cfg = cfg or PropagationConfig()
-    out = NotebookAnalysis()
-    for c in nb.cells:
-        out.warnings.extend(f"cell {c.id}: {w}" for w in c.warnings)
+    out = NotebookAnalysis(warnings=list(nb.cell_warnings))
     starts = [start] if start is not None else valid_starts(nb)
     if not starts:
         out.warnings.append("no valid start cells (all cells have unbound variables)")

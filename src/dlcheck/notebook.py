@@ -20,7 +20,7 @@ from __future__ import annotations
 import ast
 import functools
 import json
-from dataclasses import dataclass, field, replace as dataclasses_replace
+from dataclasses import dataclass, field
 from importlib import resources
 
 from .lang import (
@@ -95,10 +95,12 @@ class KnowledgeBase:
                function: str) -> tuple[str, str | None]:
         """The statement class and the namespace the match came from:
         ``namespace``'s entry, else the "*" entry, else ("unknown", None)."""
-        for ns in (namespace, "*"):
-            cls = self.entries.get((ns, function))
-            if cls is not None:
-                return cls, ns
+        cls = self.entries.get((namespace, function))
+        if cls is not None:
+            return cls, namespace
+        cls = self.entries.get(("*", function))
+        if cls is not None:
+            return cls, "*"
         return "unknown", None
 
 
@@ -111,7 +113,7 @@ def default_kb() -> KnowledgeBase:
 # Cell IR
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CellIR:
     id: int
     source: str
@@ -119,6 +121,25 @@ class CellIR:
     precondition: frozenset[str]
     exports: tuple[tuple[str, str], ...]  # (user name, final renamed name)
     warnings: tuple[str, ...]
+    # What ``Notebook``'s relevance index reads off the statements: whether
+    # they hold a use, the variables the cell writes, and the variables
+    # whose incoming binding its run may read (see ``_cell_facts``).  The
+    # translator passes those of the walk that found the precondition;
+    # otherwise they are found from the fields above.
+    facts: tuple[bool, frozenset[str], frozenset[str]] = field(
+        init=False, repr=False, compare=False)
+
+    def __init__(self, id, source, statements, precondition, exports, warnings,
+                 facts=None):
+        # Every translated cell makes one: filling the instance dictionary
+        # in one call costs half of what the generated frozen ``__init__``
+        # does, field by field through ``object.__setattr__``.
+        if facts is None:
+            facts = _cell_facts(statements, exports, precondition)[1]
+        self.__dict__.update(
+            id=id, source=source, statements=statements,
+            precondition=precondition, exports=exports, warnings=warnings,
+            facts=facts)
 
 
 @dataclass(frozen=True)
@@ -133,17 +154,20 @@ class Notebook:
         init=False, repr=False, compare=False)
     relevant: frozenset[int] = field(
         init=False, repr=False, compare=False)
+    # Each cell by its id, and the cells' translation warnings, each
+    # prefixed with its cell, in cell order.
+    by_id: dict[int, CellIR] = field(init=False, repr=False, compare=False)
+    cell_warnings: tuple[str, ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         writers: dict[str, list[int]] = {}
-        inputs: list[set[str]] = []
         work: list[int] = []
         for i, c in enumerate(self.cells):
-            assigned: set[str] = set()
-            inputs.append(set(c.precondition))
-            if _walk(c.statements, False, assigned, set(), inputs[i]):
+            has_use, writes, _ = c.facts
+            if has_use:
                 work.append(i)
-            for v in assigned.union(b for b, f in c.exports if b != f):
+            for v in writes:
                 writers.setdefault(v, []).append(i)
         # Relevant cells: those holding a use, then, to a fixpoint, every
         # cell that writes a variable a relevant cell's run may read.
@@ -152,19 +176,23 @@ class Notebook:
             i = work.pop()
             if i not in relevant:
                 relevant.add(i)
-                work.extend(j for v in inputs[i] for j in writers.get(v, ()))
+                work.extend(j for v in self.cells[i].facts[2]
+                            for j in writers.get(v, ()))
         readers: dict[str, list[int]] = {}
         for i in sorted(relevant):
             for v in self.cells[i].precondition:
                 readers.setdefault(v, []).append(i)
         object.__setattr__(self, "readers", readers)
         object.__setattr__(self, "relevant", frozenset(relevant))
+        object.__setattr__(self, "by_id", {c.id: c for c in self.cells})
+        object.__setattr__(self, "cell_warnings", tuple(
+            f"cell {c.id}: {w}" for c in self.cells for w in c.warnings))
 
     def cell(self, cell_id: int) -> CellIR:
-        for c in self.cells:
-            if c.id == cell_id:
-                return c
-        raise KeyError(f"no cell {cell_id}")
+        try:
+            return self.by_id[cell_id]
+        except KeyError:
+            raise KeyError(f"no cell {cell_id}") from None
 
 
 def _walk(stmts, nested: bool, defined: set[str], pre: set[str],
@@ -202,6 +230,24 @@ def _walk(stmts, nested: bool, defined: set[str], pre: set[str],
     return has_use
 
 
+def _cell_facts(statements, exports, precondition=None):
+    """The statements' precondition, or ``precondition`` when given, and
+    the cell's ``CellIR.facts``, from one walk.  A cell writes what it
+    assigns and each export whose final name differs from its base; its
+    run may read its precondition and the walk's inputs."""
+    defined: set[str] = set()
+    pre: set[str] = set()
+    inputs: set[str] = set()
+    has_use = _walk(statements, False, defined, pre, inputs)
+    if precondition is None:
+        precondition = frozenset(pre)
+    for base, final in exports:
+        if base != final:
+            defined.add(base)
+    reads = precondition.union(inputs) if inputs else precondition
+    return precondition, (has_use, frozenset(defined), reads)
+
+
 def cell_precondition(statements) -> frozenset[str]:
     """Variables read before any assignment, over the translated statements
     (which only ever mention data-frame variables)."""
@@ -230,9 +276,11 @@ def _record_import(node: ast.Import | ast.ImportFrom, mods: dict[str, str],
 
 
 class _Translator:
-    def __init__(self, kb: KnowledgeBase, defs, cell_id: int, imports=None):
+    def __init__(self, kb: KnowledgeBase, defs, cell_id: int, imports):
         self.kb = kb
-        self.defs = defs or {}
+        # The caller's definition and import maps are shared: a definition
+        # or an import in the cell replaces its map with an updated copy.
+        self.defs = defs
         self.cell_id = cell_id
         self.stmts: list[Statement] = []
         self.warnings: list[str] = []
@@ -240,8 +288,8 @@ class _Translator:
         self.versions: dict[str, int] = {}     # user name -> next version number
         self.df_vars: set[str] = set()         # renamed names known to hold frames
         # Aliases from earlier cells carry over; notebooks import once up top.
-        self.mod_aliases: dict[str, str] = dict((imports or ({}, {}))[0])
-        self.from_imports: dict[str, tuple[str, str]] = dict((imports or ({}, {}))[1])
+        self.mod_aliases: dict[str, str] = imports[0]
+        self.from_imports: dict[str, tuple[str, str]] = imports[1]
         self.bound_syms: dict[str, str] = {}   # expression text -> symbol name
         self.temps = 0
         self.symbols = 0
@@ -262,53 +310,46 @@ class _Translator:
         self.symbols += 1
         return f"_s{self.symbols - 1}"
 
-    def assign_name(self, base: str) -> str:
-        if self.loop_depth and base in self.cur:
-            return self.cur[base]  # rebind in place inside loops
+    def assign_name(self, base: str, env: dict[str, str]) -> str:
+        """The next renamed name of ``base``, made its binding in ``env``
+        (the current names of the scope the assignment is in)."""
+        if self.loop_depth and base in env:
+            return env[base]  # rebind in place inside loops
         v = self.versions.get(base, 0)
         self.versions[base] = v + 1
         name = base + "'" * v
-        self.cur[base] = name
+        env[base] = name
         return name
 
-    def read_name(self, base: str) -> str:
-        if base in self.cur:
-            return self.cur[base]
-        # Unbound: the user name itself becomes the current binding (it will
-        # resolve against an earlier cell) and is reserved so a later
-        # assignment in this cell gets a fresh version.
-        self.versions.setdefault(base, 1)
-        self.cur[base] = base
-        self.df_vars.add(base)
-        return base
-
-    def emit(self, s: Statement):
-        self.stmts.append(s)
+    def emit(self, stmt, *args, **kwargs):
+        """Append ``stmt(*args, **kwargs)`` at the next site of the cell."""
+        self.stmts.append(
+            stmt(*args, site=f"cell {self.cell_id}[{self.site_idx}]", **kwargs))
         self.site_idx += 1
 
-    def site(self) -> str:
-        return f"cell {self.cell_id}[{self.site_idx}]"
-
-    def define(self, target: str | None, stmt, *args, **kwargs) -> str:
+    def define(self, target: tuple[str, dict] | None, stmt, *args,
+               **kwargs) -> str:
         """Emit ``stmt(out, *args, **kwargs)`` binding the frame-valued
-        result to ``target``, or to a fresh temporary when there is none;
-        returns the bound name."""
-        out = target or self.fresh_temp()
+        result to a fresh temporary, or, when ``target`` is a user name
+        and the scope it is assigned in, to the name's next version; returns
+        the bound name.  The version is taken here, after the operands are
+        translated, so that ``x = f(x)`` reads the previous one."""
+        out = self.fresh_temp() if target is None else self.assign_name(*target)
         self.df_vars.add(out)
-        self.emit(stmt(out, *args, site=self.site(), **kwargs))
+        self.emit(stmt, out, *args, **kwargs)
         return out
 
     # -- helpers ------------------------------------------------------------
 
     def resolve_module(self, node) -> str | None:
-        parts = []
-        while isinstance(node, ast.Attribute):
-            parts.append(node.attr)
-            node = node.value
-        if isinstance(node, ast.Name) and node.id in self.mod_aliases \
-                and node.id not in self.cur:
-            parts.append(self.mod_aliases[node.id])
-            return ".".join(reversed(parts))
+        """The module path ``node`` names: an imported module alias that no
+        variable of the cell shadows, or an attribute of such a path."""
+        kind = type(node)
+        if kind is ast.Name:
+            return None if node.id in self.cur else self.mod_aliases.get(node.id)
+        if kind is ast.Attribute:
+            mod = self.resolve_module(node.value)
+            return None if mod is None else f"{mod}.{node.attr}"
         return None
 
     def callee(self, func) -> tuple[str | None, str | None, ast.expr | None]:
@@ -316,15 +357,16 @@ class _Translator:
         ``func``.  The namespace is the module path of ``m.f`` or of
         ``from m import f``, "df" for a method of any other receiver, and
         None for a bare name; the name is None when ``func`` is no name."""
-        if isinstance(func, ast.Attribute):
+        kind = type(func)
+        if kind is ast.Attribute:
             mod = self.resolve_module(func.value)
             if mod is not None:
                 return func.attr, mod, None
             return func.attr, "df", func.value
-        if isinstance(func, ast.Name):
-            if func.id in self.from_imports:
-                mod, fn = self.from_imports[func.id]
-                return fn, mod, None
+        if kind is ast.Name:
+            imported = self.from_imports.get(func.id)
+            if imported is not None:
+                return imported[1], imported[0], None
             return func.id, None, None
         return None, None, None
 
@@ -333,12 +375,13 @@ class _Translator:
         flattening a single list/tuple literal."""
         out = []
         args = call.args
-        if len(args) == 1 and isinstance(args[0], (ast.List, ast.Tuple)):
+        if len(args) == 1 and type(args[0]) in (ast.List, ast.Tuple):
             args = args[0].elts
         for a in args:
-            v = self.eval_expr(a, allow_unbound_df=True)
-            if v in self.df_vars:
-                out.append(v)
+            if type(a) is not ast.Constant:
+                v = self.eval_expr(a, allow_unbound_df=True)
+                if v in self.df_vars:
+                    out.append(v)
         return out
 
     def row_bound(self, node) -> RowExpr | None:
@@ -411,25 +454,33 @@ class _Translator:
 
     # -- expressions ----------------------------------------------------------
 
-    def eval_expr(self, node, target: str | None = None,
+    def eval_expr(self, node, target: tuple[str, dict] | None = None,
                   allow_unbound_df: bool = False) -> str | None:
         """Translate an expression; returns the renamed variable holding its
-        value when it is data-frame shaped, else None.  ``target`` names the
-        emitted statement's destination for the outermost call."""
-        if isinstance(node, ast.Name):
-            if node.id in self.cur:
-                return self.cur[node.id]
-            if allow_unbound_df:
-                return self.read_name(node.id)
-            return None
+        value when it is data-frame shaped, else None.  ``target`` is the
+        user name and scope (see ``define``) that the outermost emitted
+        statement binds."""
+        kind = type(node)
+        if kind is ast.Name:
+            name = self.cur.get(node.id)
+            if name is not None or not allow_unbound_df:
+                return name
+            # Unbound: the user name itself becomes the current binding (it
+            # will resolve against an earlier cell) and is reserved so that a
+            # later assignment in this cell gets a fresh version.
+            name = node.id
+            self.versions.setdefault(name, 1)
+            self.cur[name] = name
+            self.df_vars.add(name)
+            return name
 
-        if isinstance(node, ast.Call):
+        if kind is ast.Call:
             return self.eval_call(node, target)
 
-        if isinstance(node, ast.Subscript):
+        if kind is ast.Subscript:
             return self.eval_subscript(node, target)
 
-        if isinstance(node, ast.Attribute):
+        if kind is ast.Attribute:
             # df.values, df.T and friends: per-row views of the same data.
             # Only known frame accessors may pull in an unbound receiver;
             # arbitrary attribute reads would turn models into frames.
@@ -441,10 +492,10 @@ class _Translator:
                 return self.define(target, Apply, node.attr, recv)
             return None
 
-        if isinstance(node, (ast.BinOp, ast.IfExp)):
+        if kind is ast.BinOp or kind is ast.IfExp:
             # Two frame operands concatenate; one passes through an opaque
             # per-row transform.
-            binop = isinstance(node, ast.BinOp)
+            binop = kind is ast.BinOp
             parts = (node.left, node.right) if binop else (node.body, node.orelse)
             vals = [self.eval_expr(p, allow_unbound_df=allow_unbound_df)
                     for p in parts]
@@ -459,7 +510,7 @@ class _Translator:
     def eval_subscript(self, node: ast.Subscript, target=None) -> str | None:
         base = node.value
         accessor = "__getitem__"
-        if isinstance(base, ast.Attribute) and base.attr in ("iloc", "loc"):
+        if type(base) is ast.Attribute and base.attr in ("iloc", "loc"):
             accessor = base.attr
             base = base.value
         recv = self.eval_expr(base, allow_unbound_df=True)
@@ -473,9 +524,10 @@ class _Translator:
         return self.define(target, Select, recv, rows=rows, cols=cols)
 
     def eval_call(self, node: ast.Call, target=None) -> str | None:
-        if isinstance(node.func, ast.Name) and node.func.id in self.defs:
-            return self.inline_call(node.func.id, node, target)
-        fn, ns, recv_node = self.callee(node.func)
+        func = node.func
+        if type(func) is ast.Name and func.id in self.defs:
+            return self.inline_call(func.id, node, target)
+        fn, ns, recv_node = self.callee(func)
         if fn is None:
             return None
         cls, matched_ns = self.kb.lookup(ns, fn)
@@ -514,9 +566,11 @@ class _Translator:
             return None
 
         operands = ([recv_df] if recv_df else []) + self.df_args(node)
+        if cls == "other":
+            return self.chain(operands, target, fn) if operands else None
         if cls in ("train", "test"):
             if operands:
-                self.emit(Use(cls, tuple(dict.fromkeys(operands)), site=self.site()))
+                self.emit(Use, cls, tuple(dict.fromkeys(operands)))
             else:
                 self.warn(f"{fn} call without data-frame arguments dropped")
             return None
@@ -527,15 +581,13 @@ class _Translator:
             return self.chain(operands, target, fn, op, merge_last=True)
         if cls == "normalize":
             return self.chain(operands[:1], target, "normalize")
-        if cls == "other":
-            return self.chain(operands, target, fn)
         self.warn(f"unknown function {fn!r}; treating result as opaque transform")
         return self.chain(operands, target, "unknown")
 
     def chain(self, operands: list[str], target, fn: str, op: str = "concat",
               merge_last: bool = False) -> str:
         """Merge the operands left to right with ``op`` into temporaries,
-        then bind the result to ``target`` (or a fresh temporary): by
+        then bind the result to ``target`` (see ``define``): by
         ``Apply(fn)`` on the merged frame, or, with ``merge_last`` and two or
         more operands, by the last merge itself."""
         last = operands[-1] if merge_last and len(operands) > 1 else None
@@ -557,9 +609,9 @@ class _Translator:
             return self.chain(operands[:1], target, "unknown") if operands else None
         fdef = self.defs[name]
         arg_vals = [self.eval_expr(a, allow_unbound_df=True) for a in node.args]
-        # A definition or an import in the body is local to the call.
-        saved = (dict(self.cur), dict(self.defs), dict(self.mod_aliases),
-                 dict(self.from_imports))
+        # A definition or an import in the body is local to the call: it
+        # replaces the maps, which are put back after the call.
+        saved = (self.cur, self.defs, self.mod_aliases, self.from_imports)
         self.inline_stack.append(name)
         self.cur = {}
         for p, v in zip(fdef.args.args, arg_vals):
@@ -567,10 +619,9 @@ class _Translator:
                 self.cur[p.arg] = v
         result = None
         for stmt in fdef.body:
-            if isinstance(stmt, ast.Return):
+            if type(stmt) is ast.Return:
                 if stmt.value is not None:
-                    result = self.eval_expr(stmt.value, target=target,
-                                            allow_unbound_df=False)
+                    result = self.eval_expr(stmt.value, target)
                 break
             self.translate_stmt(stmt)
         self.inline_stack.pop()
@@ -580,109 +631,104 @@ class _Translator:
     # -- statements -----------------------------------------------------------
 
     def translate_stmt(self, node):
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            _record_import(node, self.mod_aliases, self.from_imports)
-            return
-
-        if isinstance(node, ast.FunctionDef):
-            self.defs[node.name] = node
-            return
-
-        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+        kind = type(node)
+        if kind is ast.Assign or kind is ast.AnnAssign or kind is ast.AugAssign:
             self.translate_assign(node)
             return
 
-        if isinstance(node, ast.Expr):
+        if kind is ast.Expr:
             before = len(self.stmts)
-            self.eval_expr(node.value, allow_unbound_df=False)
+            self.eval_expr(node.value)
             if len(self.stmts) == before:
                 self.warn("non-dataframe statement dropped")
             return
 
-        if isinstance(node, ast.If):
+        if kind is ast.Import or kind is ast.ImportFrom:
+            self.mod_aliases = dict(self.mod_aliases)
+            self.from_imports = dict(self.from_imports)
+            _record_import(node, self.mod_aliases, self.from_imports)
+            return
+
+        if kind is ast.FunctionDef:
+            self.defs = {**self.defs, node.name: node}
+            return
+
+        if kind is ast.If:
             self.translate_if(node)
             return
 
-        if isinstance(node, (ast.For, ast.While)):
+        if kind is ast.For or kind is ast.While:
             self.translate_loop(node)
             return
 
         self.warn("non-dataframe statement dropped")
 
     def translate_assign(self, node):
-        if isinstance(node, ast.AugAssign):
-            if not isinstance(node.target, ast.Name):
+        value = node.value
+        kind = type(node)
+        if kind is ast.Assign:
+            targets = node.targets
+        elif kind is ast.AnnAssign:
+            if value is None:
+                return
+            targets = [node.target]
+        else:
+            if type(node.target) is not ast.Name:
                 self.warn("non-dataframe statement dropped")
                 return
             targets = [node.target]
             value = ast.BinOp(left=ast.Name(id=node.target.id, ctx=ast.Load()),
-                              op=node.op, right=node.value)
-        elif isinstance(node, ast.AnnAssign):
-            targets = [node.target]
-            value = node.value
-            if value is None:
+                              op=node.op, right=value)
+
+        first = targets[0]
+        if len(targets) > 1:
+            if not all(type(t) is ast.Name for t in targets):
+                self.warn("unsupported assignment target dropped")
                 return
-        else:
-            targets = node.targets
-            value = node.value
-
-        if len(targets) == 1 and isinstance(targets[0], ast.Tuple):
-            if not self.translate_split(targets[0], value):
-                self.warn("unsupported tuple assignment dropped")
-            return
-
-        if len(targets) > 1 and all(isinstance(t, ast.Name) for t in targets):
             # x = z = value: the value is evaluated once and bound to each
             # name in turn, so bind the first name and alias the others to it.
-            first = targets[0].id
-            self.translate_assign(ast.Assign(targets=targets[:1], value=value))
+            self.translate_assign(ast.Assign(targets=[first], value=value))
             for t in targets[1:]:
                 self.translate_assign(
-                    ast.Assign(targets=[t], value=ast.Name(id=first, ctx=ast.Load())))
+                    ast.Assign(targets=[t], value=ast.Name(id=first.id, ctx=ast.Load())))
             return
 
-        if len(targets) != 1 or not isinstance(targets[0], ast.Name):
-            self.warn("unsupported assignment target dropped")
+        if type(first) is not ast.Name:
+            if type(first) is ast.Tuple:
+                if not self.translate_split(first, value):
+                    self.warn("unsupported tuple assignment dropped")
+            else:
+                self.warn("unsupported assignment target dropped")
             return
 
-        base = targets[0].id
-        if isinstance(value, ast.Name):
+        base = first.id
+        if type(value) is ast.Name:
             # Pure alias: point the user name at the existing binding.
             v = self.eval_expr(value, allow_unbound_df=True)
             if v in self.df_vars:
                 self.cur[base] = v
             else:
-                self.cur[base] = self.assign_name(base)
+                self.assign_name(base, self.cur)
             return
 
-        # Evaluate the right side before rebinding so self-references
-        # (x = scale(x)) read the previous version, then retarget the
-        # emitted statement to the new name.
-        placeholder = self.fresh_temp()
-        out = self.eval_expr(value, target=placeholder, allow_unbound_df=False)
+        # The right side is translated before ``base`` is rebound, so that
+        # self-references (x = scale(x)) read the previous version; the
+        # statement binding its value takes the new one (see ``define``).
+        # An assignment takes one temporary number of its own (the IR's
+        # temporaries are numbered so).
+        self.temps += 1
+        out = self.eval_expr(value, (base, self.cur))
         if out is None:
             # Non-frame value (models, scalars): the binding exists but does
             # not participate in the analysis.
-            self.cur[base] = self.assign_name(base)
-            self.df_vars.discard(self.cur[base])
-        elif out == placeholder:
-            name = self.assign_name(base)
-            self._retarget(placeholder, name)
+            self.df_vars.discard(self.assign_name(base, self.cur))
         else:
             self.cur[base] = out
-
-    def _retarget(self, old: str, new: str):
-        # The statement bound to ``old`` is the last one emitted: the
-        # outermost statement follows its operands', and an inlined call
-        # stops at its return.
-        self.stmts[-1] = dataclasses_replace(self.stmts[-1], target=new)
-        self.df_vars.discard(old)
-        self.df_vars.add(new)
 
     def translate_split(self, target_tuple: ast.Tuple, value) -> bool:
         """Lower ``a, b[, c, d] = train_test_split(...)`` into complementary
         selections around a fresh split point."""
-        if not isinstance(value, ast.Call):
+        if type(value) is not ast.Call:
             return False
         fn, ns, _ = self.callee(value.func)
         if fn is None or self.kb.lookup(ns, fn)[0] != "split":
@@ -695,13 +741,13 @@ class _Translator:
             self.warn(f"{fn} arity not understood; targets treated as opaque")
             if dfs:
                 for n in names:
-                    self.define(self.assign_name(n), Apply, "unknown", dfs[0])
+                    self.define((n, self.cur), Apply, "unknown", dfs[0])
             return True
         split = self.fresh_symbol()
         for i, src in enumerate(dfs):
-            self.define(self.assign_name(names[2 * i]), Select, src,
+            self.define((names[2 * i], self.cur), Select, src,
                         rows=RowRange(RowExpr.const(0), RowExpr.symbol(split)))
-            self.define(self.assign_name(names[2 * i + 1]), Select, src,
+            self.define((names[2 * i + 1], self.cur), Select, src,
                         rows=RowRange(RowExpr.symbol(split, 1), INF))
         return True
 
@@ -724,7 +770,7 @@ class _Translator:
         arm_a, env_a = run_arm(node.body)
         arm_b, env_b = run_arm(node.orelse)
         self.cur = dict(snapshot)
-        self.emit(Branch((arm_a, arm_b), site=self.site()))
+        self.emit(Branch, (arm_a, arm_b))
         changed = {b for b in set(env_a) | set(env_b)
                    if env_a.get(b) != snapshot.get(b) or env_b.get(b) != snapshot.get(b)}
         for base in sorted(changed):
@@ -736,7 +782,7 @@ class _Translator:
             # An arm binds ``base``, so ``versions`` is not empty.
             frames = tuple(v for v in versions if v in self.df_vars)
             if frames:
-                self.define(self.assign_name(base), Phi, frames)
+                self.define((base, self.cur), Phi, frames)
             else:
                 self.cur[base] = versions[0]
 
@@ -745,22 +791,7 @@ class _Translator:
         body = self.translate_body(node.body)
         self.loop_depth -= 1
         if body:
-            self.emit(Loop(body, site=self.site()))
-
-    # -- entry ----------------------------------------------------------------
-
-    def translate(self, source: str, tree: ast.Module | SyntaxError) -> CellIR:
-        if isinstance(tree, SyntaxError):
-            where = f" (line {tree.lineno})" if tree.lineno else ""
-            return CellIR(self.cell_id, source, (), frozenset(),
-                          (), (f"syntax error: {tree.msg}{where}",))
-        statements = self.translate_body(tree.body)
-        exports = tuple(
-            (base, name) for base, name in self.cur.items() if name in self.df_vars)
-        return CellIR(
-            self.cell_id, source, statements,
-            cell_precondition(statements), exports, tuple(self.warnings),
-        )
+            self.emit(Loop, body)
 
 
 def _parse_cell(source: str) -> ast.Module | SyntaxError:
@@ -783,13 +814,21 @@ def translate_cell(source: str, kb: KnowledgeBase | None = None,
     already parsed it."""
     if tree is None:
         tree = _parse_cell(source)
+    if isinstance(tree, SyntaxError):
+        where = f" (line {tree.lineno})" if tree.lineno else ""
+        return CellIR(cell_id, source, (), frozenset(), (),
+                      (f"syntax error: {tree.msg}{where}",))
+    t = _Translator(kb or default_kb(), defs or {}, cell_id, imports or ({}, {}))
     try:
-        return _Translator(kb or default_kb(), dict(defs or {}), cell_id,
-                           imports).translate(source, tree)
+        statements = t.translate_body(tree.body)
     except RecursionError:
         # Dropping a cell Python can run would be unsound.
         raise NotebookError(
             f"cell {cell_id}: expression nested too deeply to translate") from None
+    exports = tuple([item for item in t.cur.items() if item[1] in t.df_vars])
+    precondition, facts = _cell_facts(statements, exports)
+    return CellIR(cell_id, source, statements, precondition, exports,
+                  tuple(t.warnings), facts)
 
 
 # ---------------------------------------------------------------------------
@@ -828,19 +867,28 @@ def _code_cells(data: bytes) -> list[str]:
 _BLOCKS = ("body", "handlers", "orelse", "finalbody", "cases")
 # Statements whose body is a scope of its own.
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+# The statement-list fields of each node type that holds statements and
+# runs them in the enclosing scope.
+_BLOCKS_OF = {
+    cls: blocks
+    for cls in (ast.ExceptHandler, ast.match_case, *ast.stmt.__subclasses__())
+    if not issubclass(cls, _SCOPES)
+    and (blocks := tuple(name for name in _BLOCKS if name in cls._fields))
+}
 
 
 def _statements(tree: ast.Module) -> list[ast.AST]:
-    """The tree's nodes that are statements or hold statements (the module,
-    except handlers, match cases) and run in the module's scope, in
-    ``ast.walk``'s breadth-first order.  Statements never nest inside an
-    expression, so no expression is visited, and the bodies of functions
-    and classes are not entered."""
-    todo = [tree]
+    """The tree's nodes that are statements or hold statements (except
+    handlers, match cases) and run in the module's scope, in ``ast.walk``'s
+    breadth-first order.  Statements never nest inside an expression, so
+    no expression is visited, and the bodies of functions and classes are
+    not entered."""
+    todo = list(tree.body)
     for node in todo:
-        if not isinstance(node, _SCOPES):
-            for name in _BLOCKS:
-                todo.extend(getattr(node, name, ()))
+        blocks = _BLOCKS_OF.get(type(node))
+        if blocks is not None:
+            for name in blocks:
+                todo.extend(getattr(node, name))
     return todo
 
 
@@ -859,13 +907,17 @@ def load_notebook(data: bytes, kb: KnowledgeBase | None = None) -> Notebook:
     cells = []
     for i, src in enumerate(_code_cells(data), start=1):
         tree = _parse_cell(src)
-        imports = (dict(mods), dict(froms))
+        # The cell translates with the import maps of the cells before it,
+        # so its own imports go into copies.
+        imports = (mods, froms)
         if not isinstance(tree, SyntaxError):
             for node in _statements(tree):
-                if isinstance(node, ast.FunctionDef):
+                kind = type(node)
+                if kind is ast.FunctionDef:
                     defs[node.name] = node
-                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                elif kind is ast.Import or kind is ast.ImportFrom:
+                    if mods is imports[0]:
+                        mods, froms = dict(mods), dict(froms)
                     _record_import(node, mods, froms)
-        cells.append(translate_cell(src, kb, defs=defs, cell_id=i,
-                                    imports=imports, tree=tree))
+        cells.append(translate_cell(src, kb, defs, i, imports, tree))
     return Notebook(tuple(cells))

@@ -7,7 +7,6 @@ text rendering lists exactly the same findings.
 from __future__ import annotations
 
 import json
-import statistics
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -291,6 +290,9 @@ class BenchResult:
 
     @property
     def median_ms(self) -> float:
+        # Imported here: ``statistics`` loads ``fractions`` and ``decimal``,
+        # which only the bench command needs.
+        import statistics
         return statistics.median(self.per_event_ms) if self.per_event_ms else 0.0
 
     @property

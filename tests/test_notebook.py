@@ -9,6 +9,7 @@ import pytest
 
 from conftest import corpus_cases
 
+from dlcheck import notebook
 from dlcheck.corpus import notebook_bytes
 from dlcheck.engine import PropagationConfig, analyze_notebook
 from dlcheck.lang import (
@@ -569,6 +570,28 @@ def test_load_parses_each_code_cell_once(monkeypatch):
         "def broken(:",
     ], markdown=["# title"]))
     assert len(calls) == 4
+
+
+def test_load_walks_each_cell_ir_once(monkeypatch):
+    """One top-level walk of a cell's statements finds both its
+    precondition and what the notebook's relevance index needs."""
+    calls = []
+    walk = notebook._walk
+
+    def counted(stmts, nested, *rest):
+        calls.append(nested)
+        return walk(stmts, nested, *rest)
+
+    monkeypatch.setattr(notebook, "_walk", counted)
+    nb = load_notebook(notebook_bytes([
+        "import pandas as pd\ndf = pd.read_csv('a.csv')",
+        "if c:\n    df = df.dropna()\nfor i in r:\n    df = df.fillna(0)",
+        "def broken(:",
+        "m.fit(df.iloc[0:10])\nm.predict(df.iloc[5:20])",
+    ], markdown=["# title"]))
+    assert calls.count(False) == 4
+    assert True in calls
+    assert nb.relevant == {0, 1, 3}
 
 
 # Definitions and imports nested in every kind of statement list.

@@ -1,11 +1,16 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import CORPUS_DIR
 
+import dlcheck
 from dlcheck.cli import main
 from dlcheck.corpus import notebook_bytes, synthetic_notebook
 from dlcheck.fuzz import generate_program
@@ -364,6 +369,20 @@ def test_cli_oracle_fuzz_mutated(capsys):
                  "--mutate-normalize"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["violations"]
+
+
+def test_importing_the_analysis_loads_no_oracle_or_fuzzer():
+    """Every CLI call imports the package, the engine and the report
+    layer; none of them loads the oracle, the fuzzer or ``fractions``."""
+    script = ("import sys\n"
+              "import dlcheck, dlcheck.engine, dlcheck.report\n"
+              "print(sorted(m for m in ('dlcheck.oracle', 'dlcheck.fuzz', 'fractions')\n"
+              "             if m in sys.modules))\n")
+    src = str(Path(dlcheck.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out == "[]\n"
 
 
 def test_bench_single_run():
