@@ -336,7 +336,10 @@ class _Translator:
         translated, so that ``x = f(x)`` reads the previous one."""
         out = self.fresh_temp() if target is None else self.assign_name(*target)
         self.df_vars.add(out)
-        self.emit(stmt, out, *args, **kwargs)
+        # ``emit``, inlined: most statements a cell emits come through here.
+        self.stmts.append(
+            stmt(out, *args, site=f"cell {self.cell_id}[{self.site_idx}]", **kwargs))
+        self.site_idx += 1
         return out
 
     # -- helpers ------------------------------------------------------------
