@@ -921,6 +921,20 @@ def test_every_user_frame_variable_is_exported(name):
         ("overlap", name, "_t0")]
 
 
+def test_a_later_assignment_keeps_a_user_frame_named_like_a_temporary():
+    """An assignment binds no placeholder temporary, so the next assignment
+    in the cell cannot take the user's ``_t1`` out of the frames: the fit
+    on it is kept and the overlap is found."""
+    nb = load_notebook(notebook_bytes([
+        'df = pd.read_csv("f.csv")',
+        "_t1 = df.iloc[0:10]\nx = df.dropna()\nm.fit(_t1)\nm.predict(df.iloc[5:8])",
+    ]))
+    assert nb.cells[1].warnings == ()
+    assert ("_t1", "_t1") in nb.cells[1].exports
+    assert [r.finding.key for r in analyze_notebook(nb).findings] == [
+        ("overlap", "_t1", "_t2")]
+
+
 def test_kb_rejects_unknown_class(tmp_path):
     path = tmp_path / "kb.json"
     path.write_text(json.dumps({"entries": [
