@@ -922,9 +922,9 @@ def test_every_user_frame_variable_is_exported(name):
 
 
 def test_a_later_assignment_keeps_a_user_frame_named_like_a_temporary():
-    """An assignment binds no placeholder temporary, so the next assignment
-    in the cell cannot take the user's ``_t1`` out of the frames: the fit
-    on it is kept and the overlap is found."""
+    """A user variable may be named like a translator temporary: the next
+    assignment in its cell leaves ``_t1`` among the cell's frames, so the
+    fit on it is kept and the overlap is found."""
     nb = load_notebook(notebook_bytes([
         'df = pd.read_csv("f.csv")',
         "_t1 = df.iloc[0:10]\nx = df.dropna()\nm.fit(_t1)\nm.predict(df.iloc[5:8])",
