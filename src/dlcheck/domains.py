@@ -172,10 +172,16 @@ def row_join(a: RowInterval, b: RowInterval) -> RowInterval:
 
 
 def row_disjoint(a: RowInterval, b: RowInterval) -> bool:
-    """True only when the intervals provably share no index."""
-    if a.is_bot or b.is_bot:
+    """True only when the intervals provably share no index.  When no bound
+    has a symbol, the offsets are compared as integers."""
+    alo, ahi, blo, bhi = a.lo, a.hi, b.lo, b.hi
+    if alo is None or blo is None:
         return True
-    return expr_lt(a.hi, b.lo) is True or expr_lt(b.hi, a.lo) is True
+    if alo.sym is None and ahi.sym is None and blo.sym is None and bhi.sym is None:
+        # The lower bounds are constants; the upper ones constants or inf.
+        return ((not ahi.inf and ahi.offset < blo.offset)
+                or (not bhi.inf and bhi.offset < alo.offset))
+    return expr_lt(ahi, blo) is True or expr_lt(bhi, alo) is True
 
 
 def _pick(a: RowExpr, b: RowExpr) -> RowExpr:
@@ -261,7 +267,7 @@ def gamma_rows(r: RowInterval) -> frozenset[int]:
 # Abstract frames
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AbsDataFrame:
     """Provenance triple: file name, column abstraction, row interval.
 
@@ -278,15 +284,19 @@ class AbsDataFrame:
     _key: tuple = field(init=False, compare=False, repr=False)
     _hash: int = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        if self.rows.is_bot:
+    def __init__(self, file: str, cols: ColumnAbs, rows: RowInterval):
+        # Filling the instance dictionary in one call costs less than the
+        # generated frozen ``__init__`` and ``__post_init__`` setting each
+        # field through ``object.__setattr__``.
+        lo, hi, names = rows.lo, rows.hi, cols.cols
+        if lo is None:
             raise ValueError("frame rows cannot be bottom")
-        if self.cols.is_empty:
+        if names is not None and not names:
             raise ValueError("frame columns cannot be empty")
-        cols = ("~top",) if self.cols.is_top else tuple(sorted(self.cols.cols))
-        object.__setattr__(
-            self, "_key", (self.file, cols, str(self.rows.lo), str(self.rows.hi)))
-        object.__setattr__(self, "_hash", hash((self.file, self.cols, self.rows)))
+        key = (file, ("~top",) if names is None else tuple(sorted(names)),
+               str(lo), str(hi))
+        self.__dict__.update(file=file, cols=cols, rows=rows, _key=key,
+                             _hash=hash((file, cols, rows)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -313,7 +323,10 @@ def df_overlap(a: AbsDataFrame, b: AbsDataFrame) -> bool:
     """May-overlap: false only when frames provably share no cell."""
     if a.file != b.file:
         return False
-    if col_meet(a.cols, b.cols).is_empty:
+    # A frame's columns are never empty, so the meet is empty only when
+    # both sets are finite and share no label.
+    ac, bc = a.cols.cols, b.cols.cols
+    if ac is not None and bc is not None and ac.isdisjoint(bc):
         return False
     return not row_disjoint(a.rows, b.rows)
 
@@ -359,19 +372,27 @@ def ordered_frames(frames) -> tuple[AbsDataFrame, ...]:
     return tuple(sorted(frames, key=_frame_key))
 
 
-def set_reduce(frames, parts=()) -> frozenset[AbsDataFrame]:
+def set_reduce(frames, parts=(), overlaps=None) -> frozenset[AbsDataFrame]:
     """Join overlapping frames until the set is canonical.
 
-    Inserts the frames one at a time in ``ordered_frames`` order.  A frame
-    that overlaps a kept one absorbs it, and the scan starts over: the join
-    may overlap kept frames that neither operand did.  Terminates because
-    every join removes a kept frame.
+    A set of at most one frame is canonical already and is returned as it
+    is.  Otherwise the frames are inserted one at a time in
+    ``ordered_frames`` order.  A frame that overlaps a kept one absorbs it,
+    and the scan starts over: the join may overlap kept frames that neither
+    operand did.  Terminates because every join removes a kept frame.
 
     ``parts`` optionally lists canonical sets whose union is ``frames``.
     Two frames that are both unjoined members of one part are known not to
-    overlap, so that test is skipped; the result is the same as without
-    ``parts``.
+    overlap, so that test is skipped.  ``overlaps`` optionally holds, in
+    both orders, every pair of frames that are unjoined members of
+    different parts, of no common part, and may overlap: ``set_join`` has
+    already tested each such pair.  The test of such a pair is answered
+    from it; a test that involves a joined frame still calls
+    ``df_overlap``.  The result is the same as without ``parts`` and
+    ``overlaps``.
     """
+    if len(frames) <= 1:
+        return frozenset(frames)
     kept: list[AbsDataFrame] = []
     # Per kept frame, a bit per part the frame is an unjoined member of.
     owners: list[int] = []
@@ -382,7 +403,14 @@ def set_reduce(frames, parts=()) -> frozenset[AbsDataFrame]:
                 mine |= 1 << bit
         i = 0
         while i < len(kept):
-            if not owners[i] & mine and df_overlap(kept[i], f):
+            own = owners[i]
+            if own & mine:
+                hit = False
+            elif own and mine and overlaps is not None:
+                hit = (kept[i], f) in overlaps
+            else:
+                hit = df_overlap(kept[i], f)
+            if hit:
                 f = df_join(kept.pop(i), f)
                 owners.pop(i)
                 mine = 0
@@ -420,13 +448,16 @@ def set_join(a, b) -> frozenset[AbsDataFrame]:
     joins nothing, so the union is returned without it: a join then costs
     one overlap test per pair of frames the operands do not share.  Every
     such pair is tested, so the number of tests does not depend on the
-    iteration order of the sets.
+    iteration order of the sets.  Otherwise the pairs that may overlap are
+    handed to ``set_reduce``, which answers its tests between two unjoined
+    frames of different operands from them rather than testing again.
     """
     a, b = frozenset(a), frozenset(b)
     only_b = b - a
-    if not any([df_overlap(x, y) for x in a - b for y in only_b]):
+    overlaps = [(x, y) for x in a - b for y in only_b if df_overlap(x, y)]
+    if not overlaps:
         return a | b
-    return set_reduce(a | b, (a, b))
+    return set_reduce(a | b, (a, b), {*overlaps, *[(y, x) for x, y in overlaps]})
 
 
 def set_constrain(frames, c: ColumnAbs, ij: RowInterval) -> frozenset[AbsDataFrame]:
@@ -442,7 +473,7 @@ def set_constrain(frames, c: ColumnAbs, ij: RowInterval) -> frozenset[AbsDataFra
 # Source abstraction (frame set + taint + alignment)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SourceAbs:
     """A frame set with a taint flag and a positional-alignment flag (see
     ``interp``).  The string form and the JSON dump leave alignment out."""
@@ -450,6 +481,22 @@ class SourceAbs:
     frames: frozenset[AbsDataFrame] = frozenset()
     tainted: bool = False
     aligned: bool = False
+    # Computed once, as ``AbsDataFrame._hash`` is: cache keys, memo keys and
+    # ``state_leq`` hash values many times per event.  It is the hash the
+    # generated ``__hash__`` would give, so iteration orders are unchanged.
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __init__(self, frames: frozenset[AbsDataFrame] = frozenset(),
+                 tainted: bool = False, aligned: bool = False):
+        self.__dict__.update(frames=frames, tainted=tainted, aligned=aligned,
+                             _hash=hash((frames, tainted, aligned)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # As for ``AbsDataFrame``: a copy recomputes the hash.
+        return (SourceAbs, (self.frames, self.tainted, self.aligned))
 
     def __str__(self) -> str:
         inner = ", ".join(str(f) for f in ordered_frames(self.frames))

@@ -414,10 +414,10 @@ def test_set_join_of_disjoint_sets_does_not_reduce(monkeypatch):
     overlap one of the other, so no join reduces."""
     calls = 0
 
-    def counting(frames, parts=()):
+    def counting(*args, **kwargs):
         nonlocal calls
         calls += 1
-        return set_reduce(frames, parts)
+        return set_reduce(*args, **kwargs)
 
     monkeypatch.setattr(domains, "set_reduce", counting)
     acc = frozenset()
@@ -428,6 +428,30 @@ def test_set_join_of_disjoint_sets_does_not_reduce(monkeypatch):
     assert set_join(acc, {frame("f", None, 2, 5)}) == (
         acc - {frame("f", None, 0, 2), frame("f", None, 5, 7)}) | {frame("f", None, 0, 7)}
     assert calls == 1
+
+
+def test_set_join_reuses_the_exit_tests_answers(monkeypatch):
+    """One window adjacent to one of n gapped windows: ``set_join`` makes
+    the n exit-test calls, and the reduction calls ``df_overlap`` only for
+    the joined frame, once against each of the other n - 1 windows.  Its
+    tests between the new window and an unjoined gapped one are answered
+    from the exit test."""
+    n = 20
+    gapped = frozenset(frame("f", None, lo, lo + 4) for lo in range(0, 10 * n, 10))
+    adjacent = frozenset({frame("f", None, 74, 78)})
+    calls = 0
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        return df_overlap(a, b)
+
+    monkeypatch.setattr(domains, "df_overlap", counting)
+    for a, b in ((gapped, adjacent), (adjacent, gapped)):
+        calls = 0
+        got = set_join(a, b)
+        assert got == (gapped - {frame("f", None, 70, 74)}) | {frame("f", None, 70, 78)}
+        assert calls == n + (n - 1)
 
 
 def _reference_set_leq(a, b):
@@ -481,6 +505,54 @@ def test_copied_and_unpickled_frames_recompute_their_hash():
     for g in (pickle.loads(pickle.dumps(f)), copy.copy(f), copy.deepcopy(f)):
         assert g == f
         assert hash(g) == hash((g.file, g.cols, g.rows))
+
+
+def test_source_hash_is_computed_once_and_recomputed_by_copies():
+    """A value's stored hash is the generated dataclass hash, and a copy or
+    an unpickled value recomputes it rather than carrying it over."""
+    import copy
+    import pickle
+
+    vs = [SourceAbs(),
+          SourceAbs(frozenset({frame("f", {"a"}, RowExpr.symbol("s", 1), 9)}), True),
+          SourceAbs(frozenset({frame("f", None, 0, 4), frame("g", {"b"}, 2, "inf")}),
+                    False, True)]
+    for v in vs:
+        assert hash(v) == hash((v.frames, v.tainted, v.aligned))
+        assert repr(v) == (f"SourceAbs(frames={v.frames!r}, tainted={v.tainted!r}, "
+                           f"aligned={v.aligned!r})")
+        object.__setattr__(v, "_hash", 0)  # as if computed under another seed
+        for w in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+            assert w == v
+            assert hash(w) == hash((w.frames, w.tainted, w.aligned))
+
+
+def test_source_pickled_under_another_hash_seed_is_found_in_a_set():
+    """String hashes differ between interpreters: a value pickled under
+    ``PYTHONHASHSEED=1`` and loaded under ``PYTHONHASHSEED=3`` is a member
+    of a set of values made there."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(domains.__file__).resolve().parents[1])
+    make = ("SourceAbs(frozenset({frame('events', {'a', 'b'}, 0, 9), "
+            "frame('sales', None, RowExpr.symbol('s', 2), 'inf')}), True)")
+    prelude = ("import pickle, sys\n"
+               "from dlcheck.domains import SourceAbs, frame\n"
+               "from dlcheck.lang import RowExpr\n")
+
+    def run(seed, script, data=b""):
+        return subprocess.run(
+            [sys.executable, "-c", prelude + script], input=data, capture_output=True,
+            check=True, env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+        ).stdout
+
+    data = run("1", f"sys.stdout.buffer.write(pickle.dumps({make}))")
+    out = run("3", "v = pickle.loads(sys.stdin.buffer.read())\n"
+                   f"print(v in {{{make}, SourceAbs()}})", data)
+    assert out == b"True\n"
 
 
 def test_set_join_of_published_inputs():
