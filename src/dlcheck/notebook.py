@@ -69,11 +69,13 @@ class KnowledgeBase:
     @staticmethod
     def load(path=None) -> "KnowledgeBase":
         if path is None:
-            raw = resources.files("dlcheck").joinpath("kb.json").read_text()
+            data = json.loads(resources.files("dlcheck").joinpath("kb.json").read_text())
         else:
-            with open(path, encoding="utf-8") as fh:
-                raw = fh.read()
-        data = json.loads(raw)
+            try:
+                with open(path, encoding="utf-8") as fh:
+                    data = json.load(fh)
+            except (json.JSONDecodeError, UnicodeDecodeError) as e:
+                raise NotebookError(f"knowledge base {path}: {e}") from None
         if not isinstance(data, dict) or not isinstance(data.get("entries"), list):
             raise NotebookError("knowledge base: 'entries' is missing or not a list")
         entries = {}

@@ -160,6 +160,22 @@ def test_cli_custom_kb_via_env(tmp_path, capsys, monkeypatch):
     assert "TAINT" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("content, reason", [
+    (b'{"entries": [{"namespace": "*", "function": "f" "class": "source"}]}',
+     "Expecting ',' delimiter"),
+    (b'{"entries": [], "note": "caf\xe9"}', "codec can't decode"),
+])
+def test_cli_names_a_broken_kb(tmp_path, capsys, content, reason):
+    kb = tmp_path / "broken.json"
+    kb.write_bytes(content)
+    nb = tmp_path / "nb.ipynb"
+    nb.write_bytes(notebook_bytes(['df = pd.read_csv("d.csv")']))
+    assert main(["analyze", str(nb), "--kb", str(kb)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: knowledge base {kb}: ")
+    assert reason in err and "Traceback" not in err
+
+
 # -- corpus scoring ------------------------------------------------------------
 
 def test_corpus_perfect_score():
