@@ -372,7 +372,7 @@ def ordered_frames(frames) -> tuple[AbsDataFrame, ...]:
     return tuple(sorted(frames, key=_frame_key))
 
 
-def set_reduce(frames, parts=(), overlaps=None) -> frozenset[AbsDataFrame]:
+def set_reduce(frames, parts=()) -> frozenset[AbsDataFrame]:
     """Join overlapping frames until the set is canonical.
 
     A set of at most one frame is canonical already and is returned as it
@@ -383,13 +383,8 @@ def set_reduce(frames, parts=(), overlaps=None) -> frozenset[AbsDataFrame]:
 
     ``parts`` optionally lists canonical sets whose union is ``frames``.
     Two frames that are both unjoined members of one part are known not to
-    overlap, so that test is skipped.  ``overlaps`` optionally holds, in
-    both orders, every pair of frames that are unjoined members of
-    different parts, of no common part, and may overlap: ``set_join`` has
-    already tested each such pair.  The test of such a pair is answered
-    from it; a test that involves a joined frame still calls
-    ``df_overlap``.  The result is the same as without ``parts`` and
-    ``overlaps``.
+    overlap, so that test is skipped; the result is the same as without
+    ``parts``.
     """
     if len(frames) <= 1:
         return frozenset(frames)
@@ -403,14 +398,7 @@ def set_reduce(frames, parts=(), overlaps=None) -> frozenset[AbsDataFrame]:
                 mine |= 1 << bit
         i = 0
         while i < len(kept):
-            own = owners[i]
-            if own & mine:
-                hit = False
-            elif own and mine and overlaps is not None:
-                hit = (kept[i], f) in overlaps
-            else:
-                hit = df_overlap(kept[i], f)
-            if hit:
+            if not owners[i] & mine and df_overlap(kept[i], f):
                 f = df_join(kept.pop(i), f)
                 owners.pop(i)
                 mine = 0
@@ -448,16 +436,13 @@ def set_join(a, b) -> frozenset[AbsDataFrame]:
     joins nothing, so the union is returned without it: a join then costs
     one overlap test per pair of frames the operands do not share.  Every
     such pair is tested, so the number of tests does not depend on the
-    iteration order of the sets.  Otherwise the pairs that may overlap are
-    handed to ``set_reduce``, which answers its tests between two unjoined
-    frames of different operands from them rather than testing again.
+    iteration order of the sets.
     """
     a, b = frozenset(a), frozenset(b)
     only_b = b - a
-    overlaps = [(x, y) for x in a - b for y in only_b if df_overlap(x, y)]
-    if not overlaps:
+    if not any([df_overlap(x, y) for x in a - b for y in only_b]):
         return a | b
-    return set_reduce(a | b, (a, b), {*overlaps, *[(y, x) for x, y in overlaps]})
+    return set_reduce(a | b, (a, b))
 
 
 def set_constrain(frames, c: ColumnAbs, ij: RowInterval) -> frozenset[AbsDataFrame]:

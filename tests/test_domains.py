@@ -414,10 +414,10 @@ def test_set_join_of_disjoint_sets_does_not_reduce(monkeypatch):
     overlap one of the other, so no join reduces."""
     calls = 0
 
-    def counting(*args, **kwargs):
+    def counting(frames, parts=()):
         nonlocal calls
         calls += 1
-        return set_reduce(*args, **kwargs)
+        return set_reduce(frames, parts)
 
     monkeypatch.setattr(domains, "set_reduce", counting)
     acc = frozenset()
@@ -428,30 +428,6 @@ def test_set_join_of_disjoint_sets_does_not_reduce(monkeypatch):
     assert set_join(acc, {frame("f", None, 2, 5)}) == (
         acc - {frame("f", None, 0, 2), frame("f", None, 5, 7)}) | {frame("f", None, 0, 7)}
     assert calls == 1
-
-
-def test_set_join_reuses_the_exit_tests_answers(monkeypatch):
-    """One window adjacent to one of n gapped windows: ``set_join`` makes
-    the n exit-test calls, and the reduction calls ``df_overlap`` only for
-    the joined frame, once against each of the other n - 1 windows.  Its
-    tests between the new window and an unjoined gapped one are answered
-    from the exit test."""
-    n = 20
-    gapped = frozenset(frame("f", None, lo, lo + 4) for lo in range(0, 10 * n, 10))
-    adjacent = frozenset({frame("f", None, 74, 78)})
-    calls = 0
-
-    def counting(a, b):
-        nonlocal calls
-        calls += 1
-        return df_overlap(a, b)
-
-    monkeypatch.setattr(domains, "df_overlap", counting)
-    for a, b in ((gapped, adjacent), (adjacent, gapped)):
-        calls = 0
-        got = set_join(a, b)
-        assert got == (gapped - {frame("f", None, 70, 74)}) | {frame("f", None, 70, 78)}
-        assert calls == n + (n - 1)
 
 
 def _reference_set_leq(a, b):
