@@ -288,13 +288,12 @@ class AbsDataFrame:
         # Filling the instance dictionary in one call costs less than the
         # generated frozen ``__init__`` and ``__post_init__`` setting each
         # field through ``object.__setattr__``.
-        lo, hi, names = rows.lo, rows.hi, cols.cols
-        if lo is None:
+        if rows.is_bot:
             raise ValueError("frame rows cannot be bottom")
-        if names is not None and not names:
+        if cols.is_empty:
             raise ValueError("frame columns cannot be empty")
-        key = (file, ("~top",) if names is None else tuple(sorted(names)),
-               str(lo), str(hi))
+        key = (file, ("~top",) if cols.is_top else tuple(sorted(cols.cols)),
+               str(rows.lo), str(rows.hi))
         self.__dict__.update(file=file, cols=cols, rows=rows, _key=key,
                              _hash=hash((file, cols, rows)))
 
