@@ -102,10 +102,12 @@ def test_subscript_meaning_depends_on_accessor():
 
 
 def test_boolean_mask_select_keeps_rows():
-    cell = translate_cell("adults = df[df.age > 18]")
-    sel = cell.statements[-1]
-    assert isinstance(sel, Select) and sel.rows is None
-    assert any("opaque subscript" in w for w in cell.warnings)
+    # An empty positional slice is opaque too: it keeps the whole frame.
+    for source in ("adults = df[df.age > 18]", "adults = df.iloc[5:2]"):
+        cell = translate_cell(source)
+        sel = cell.statements[-1]
+        assert isinstance(sel, Select) and sel.rows is None
+        assert any("opaque subscript" in w for w in cell.warnings)
 
 
 def test_loc_with_row_and_column_parts():

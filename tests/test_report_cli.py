@@ -361,11 +361,16 @@ def test_cli_names_the_option_of_a_malformed_value(
 
 def test_cli_parse_error_names_the_line(tmp_path, capsys):
     path = tmp_path / "bad.dfl"
-    path.write_text('a = read("f")\nbogus line\n')
-    assert main(["analyze", str(path)]) == 2
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert out.err == "error: line 2: unrecognized statement 'bogus line'\n"
+    for line, message in [
+        ("bogus line", "unrecognized statement 'bogus line'"),
+        ("b = a.select[[5 .. 2]][]", "empty row range [5 .. 2]"),
+        ("b = a.select[[inf .. inf]][]", "range lower bound cannot be inf"),
+    ]:
+        path.write_text(f'a = read("f")\n{line}\n')
+        assert main(["analyze", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: line 2: {message}\n"
 
 
 @pytest.mark.parametrize("command, target, k", [
