@@ -17,8 +17,8 @@ from .lang import (  # noqa: F401
     Program,
     Read,
     RowExpr,
+    RowInterval,
     RowList,
-    RowRange,
     Select,
     SsaError,
     UndefinedVariableError,
@@ -32,10 +32,7 @@ from .domains import (  # noqa: F401
     AbsDataFrame,
     BOT_ROWS,
     BOT_SOURCE,
-    ColumnAbs,
-    RowInterval,
     SourceAbs,
-    TOP_COLS,
     TOP_ROWS,
 )
 from .interp import (  # noqa: F401

@@ -1,10 +1,11 @@
 """Provenance lattices used by the analyzer.
 
-The stack, bottom-up: column abstractions (finite label sets plus a top
-element), row intervals over the naturals with possibly-symbolic bounds,
-per-file abstract frames, canonical sets of pairwise non-overlapping
-frames, and the source abstraction that pairs a frame set with a taint
-flag and a positional-alignment flag.
+The stack, bottom-up: column abstractions (a ``frozenset`` of labels, or
+``None`` for top: unknown columns), row intervals over the naturals with
+possibly-symbolic bounds (``lang.RowInterval``), per-file abstract frames,
+canonical sets of pairwise non-overlapping frames, and the source
+abstraction that pairs a frame set with a taint flag and a
+positional-alignment flag.
 
 Symbolic bounds make comparisons three-valued.  Unknown comparisons are
 resolved conservatively: overlap tests answer "may overlap", join bounds
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .lang import INF, RowExpr, expr_add, expr_le, expr_lt, expr_sub
+from .lang import INF, RowExpr, RowInterval, expr_add, expr_le, expr_lt, expr_sub
 
 
 class DomainError(Exception):
@@ -31,84 +32,31 @@ class EnumerationError(DomainError):
 # Columns
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ColumnAbs:
-    """A set of column labels, or top (unknown columns)."""
-
-    cols: frozenset[str] | None = None  # None is top
-
-    @property
-    def is_top(self) -> bool:
-        return self.cols is None
-
-    @property
-    def is_empty(self) -> bool:
-        return self.cols is not None and not self.cols
-
-    def __str__(self) -> str:
-        if self.is_top:
-            return "T"
-        return "{" + ",".join(sorted(self.cols)) + "}"
-
-
-TOP_COLS = ColumnAbs(None)
-
-
-def columns(*names: str) -> ColumnAbs:
-    return ColumnAbs(frozenset(names))
-
-
-def col_leq(a: ColumnAbs, b: ColumnAbs) -> bool:
-    if b.is_top:
+def col_leq(a: frozenset[str] | None, b: frozenset[str] | None) -> bool:
+    if b is None:
         return True
-    if a.is_top:
+    if a is None:
         return False
-    return a.cols <= b.cols
+    return a <= b
 
 
-def col_join(a: ColumnAbs, b: ColumnAbs) -> ColumnAbs:
-    if a.is_top or b.is_top:
-        return TOP_COLS
-    return ColumnAbs(a.cols | b.cols)
+def col_join(a: frozenset[str] | None, b: frozenset[str] | None) -> frozenset[str] | None:
+    if a is None or b is None:
+        return None
+    return a | b
 
 
-def col_meet(a: ColumnAbs, b: ColumnAbs) -> ColumnAbs:
-    if b.is_top:
+def col_meet(a: frozenset[str] | None, b: frozenset[str] | None) -> frozenset[str] | None:
+    if b is None:
         return a
-    if a.is_top:
+    if a is None:
         return b
-    return ColumnAbs(a.cols & b.cols)
+    return a & b
 
 
 # ---------------------------------------------------------------------------
 # Row intervals
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RowInterval:
-    """Inclusive interval of row indexes, or bottom (both bounds None)."""
-
-    lo: RowExpr | None
-    hi: RowExpr | None
-
-    def __post_init__(self):
-        if (self.lo is None) != (self.hi is None):
-            raise ValueError("both bounds must be set, or neither")
-        if self.lo is not None:
-            if self.lo.inf:
-                raise ValueError("lower bound cannot be inf")
-            if expr_le(self.lo, self.hi) is False:
-                raise ValueError(f"interval [{self.lo}, {self.hi}] is provably empty")
-
-    @property
-    def is_bot(self) -> bool:
-        return self.lo is None
-
-    def __str__(self) -> str:
-        if self.is_bot:
-            return "_|_"
-        return f"[{self.lo}, {self.hi}]"
-
 
 BOT_ROWS = RowInterval(None, None)
 TOP_ROWS = RowInterval(RowExpr.const(0), INF)
@@ -276,7 +224,7 @@ class AbsDataFrame:
     """
 
     file: str
-    cols: ColumnAbs
+    cols: frozenset[str] | None  # None is top
     rows: RowInterval
     # The sort key and the hash, computed once; neither takes part in
     # ``==``, ``repr`` or ``dataclasses.replace``.  The hash is the one the
@@ -284,15 +232,15 @@ class AbsDataFrame:
     _key: tuple = field(init=False, compare=False, repr=False)
     _hash: int = field(init=False, compare=False, repr=False)
 
-    def __init__(self, file: str, cols: ColumnAbs, rows: RowInterval):
+    def __init__(self, file: str, cols: frozenset[str] | None, rows: RowInterval):
         # Filling the instance dictionary in one call costs less than the
         # generated frozen ``__init__`` and ``__post_init__`` setting each
         # field through ``object.__setattr__``.
         if rows.is_bot:
             raise ValueError("frame rows cannot be bottom")
-        if cols.is_empty:
+        if cols is not None and not cols:
             raise ValueError("frame columns cannot be empty")
-        key = (file, ("~top",) if cols.is_top else tuple(sorted(cols.cols)),
+        key = (file, ("~top",) if cols is None else tuple(sorted(cols)),
                str(rows.lo), str(rows.hi))
         self.__dict__.update(file=file, cols=cols, rows=rows, _key=key,
                              _hash=hash((file, cols, rows)))
@@ -306,12 +254,12 @@ class AbsDataFrame:
         return (AbsDataFrame, (self.file, self.cols, self.rows))
 
     def __str__(self) -> str:
-        return f"{self.file}^{self.cols}_{self.rows}"
+        cols = "T" if self.cols is None else "{" + ",".join(sorted(self.cols)) + "}"
+        return f"{self.file}^{cols}_{self.rows}"
 
 
 def frame(file: str, cols=None, lo=0, hi="inf") -> AbsDataFrame:
-    c = TOP_COLS if cols is None else ColumnAbs(frozenset(cols))
-    return AbsDataFrame(file, c, rows(lo, hi))
+    return AbsDataFrame(file, None if cols is None else frozenset(cols), rows(lo, hi))
 
 
 def df_leq(a: AbsDataFrame, b: AbsDataFrame) -> bool:
@@ -324,7 +272,7 @@ def df_overlap(a: AbsDataFrame, b: AbsDataFrame) -> bool:
         return False
     # A frame's columns are never empty, so the meet is empty only when
     # both sets are finite and share no label.
-    ac, bc = a.cols.cols, b.cols.cols
+    ac, bc = a.cols, b.cols
     if ac is not None and bc is not None and ac.isdisjoint(bc):
         return False
     return not row_disjoint(a.rows, b.rows)
@@ -342,16 +290,17 @@ def df_meet(a: AbsDataFrame, b: AbsDataFrame) -> AbsDataFrame | None:
         raise DomainError(f"meet across files {a.file!r} and {b.file!r}")
     cols = col_meet(a.cols, b.cols)
     rows_ = row_meet(a.rows, b.rows)
-    if cols.is_empty or rows_.is_bot:
+    if (cols is not None and not cols) or rows_.is_bot:
         return None
     return AbsDataFrame(a.file, cols, rows_)
 
 
-def df_constrain(a: AbsDataFrame, c: ColumnAbs, ij: RowInterval) -> AbsDataFrame | None:
+def df_constrain(a: AbsDataFrame, c: frozenset[str] | None,
+                 ij: RowInterval) -> AbsDataFrame | None:
     """Restrict to the given columns and positional index window; None when
     the restriction is empty."""
     cols = col_meet(a.cols, c)
-    if cols.is_empty:
+    if cols is not None and not cols:
         return None
     rows_ = row_unindex(a.rows, ij)
     if rows_.is_bot:
@@ -444,7 +393,8 @@ def set_join(a, b) -> frozenset[AbsDataFrame]:
     return set_reduce(a | b, (a, b))
 
 
-def set_constrain(frames, c: ColumnAbs, ij: RowInterval) -> frozenset[AbsDataFrame]:
+def set_constrain(frames, c: frozenset[str] | None,
+                  ij: RowInterval) -> frozenset[AbsDataFrame]:
     out = []
     for f in frames:
         g = df_constrain(f, c, ij)
@@ -528,7 +478,7 @@ def gamma_source(a: SourceAbs) -> frozenset[tuple[str, int]]:
 def frame_to_json(f: AbsDataFrame) -> dict:
     return {
         "file": f.file,
-        "cols": "top" if f.cols.is_top else sorted(f.cols.cols),
+        "cols": "top" if f.cols is None else sorted(f.cols),
         "rows": [str(f.rows.lo), str(f.rows.hi)],
     }
 

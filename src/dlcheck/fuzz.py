@@ -26,8 +26,8 @@ from .lang import (
     Program,
     Read,
     RowExpr,
+    RowInterval,
     RowList,
-    RowRange,
     Select,
     Use,
     program_text,
@@ -105,7 +105,7 @@ def generate_program(rng: random.Random):
                     elif style < 0.6:
                         lo = rng.randrange(n)
                         hi = rng.randrange(lo, n)
-                        sel = RowRange(RowExpr.const(lo), RowExpr.const(hi))
+                        sel = RowInterval(RowExpr.const(lo), RowExpr.const(hi))
                     else:
                         k = rng.randint(1, n)
                         sel = RowList(tuple(

@@ -21,10 +21,7 @@ from dataclasses import dataclass, field, replace
 from .domains import (
     BOT_ROWS,
     AbsDataFrame,
-    ColumnAbs,
-    RowInterval,
     SourceAbs,
-    TOP_COLS,
     TOP_ROWS,
     df_overlap,
     ordered_frames,
@@ -43,7 +40,7 @@ from .lang import (
     Phi,
     Read,
     RowExpr,
-    RowRange,
+    RowInterval,
     Select,
     Statement,
     Use,
@@ -134,8 +131,8 @@ def _selector_window(rows) -> tuple[RowInterval, bool]:
     is contiguous (preserves positional alignment)."""
     if rows is None:
         return TOP_ROWS, True
-    if isinstance(rows, RowRange):
-        return RowInterval(rows.lo, rows.hi), True
+    if isinstance(rows, RowInterval):
+        return rows, True
     if not rows.items:
         return BOT_ROWS, True
     lo = rows.items[0]
@@ -166,7 +163,7 @@ def _require(state: AbstractState, var: str, site) -> SourceAbs:
 def transfer(s: Statement, m: AbstractState) -> AbstractState:
     """Abstract effect of one statement."""
     if isinstance(s, Read):
-        frames = frozenset({AbsDataFrame(s.file, TOP_COLS, TOP_ROWS)})
+        frames = frozenset({AbsDataFrame(s.file, None, TOP_ROWS)})
         return m.bind(s.target, SourceAbs(frames, False, True))
 
     if isinstance(s, Select):
@@ -175,15 +172,14 @@ def transfer(s: Statement, m: AbstractState) -> AbstractState:
             # Tainted rows are cross-correlated; narrowing would pretend the
             # selection only depends on the picked rows.
             return m.bind(s.target, src)
-        cols = TOP_COLS if s.cols is None else ColumnAbs(frozenset(s.cols))
         window, contiguous = _selector_window(s.rows)
         if src.aligned:
-            frames = set_constrain(src.frames, cols, window)
+            frames = set_constrain(src.frames, s.cols, window)
             out_aligned = contiguous and len(frames) <= 1
         else:
             # Row positions no longer line up with the tracked intervals, so
             # only the column part may be constrained.
-            frames = set_constrain(src.frames, cols, TOP_ROWS)
+            frames = set_constrain(src.frames, s.cols, TOP_ROWS)
             out_aligned = False
         return m.bind(s.target, SourceAbs(frames, False, out_aligned))
 

@@ -147,6 +147,35 @@ def expr_sub(a: RowExpr, b: RowExpr) -> RowExpr | None:
     return None
 
 
+@dataclass(frozen=True)
+class RowInterval:
+    """Inclusive interval of row positions, or bottom (both bounds None).
+
+    A ``Select`` uses it as its range selector ``lo .. hi``; the analyzer's
+    frames use it for the rows they cover."""
+
+    lo: RowExpr | None
+    hi: RowExpr | None
+
+    def __post_init__(self):
+        if (self.lo is None) != (self.hi is None):
+            raise ValueError("both bounds must be set, or neither")
+        if self.lo is not None:
+            if self.lo.inf:
+                raise ValueError("lower bound cannot be inf")
+            if expr_le(self.lo, self.hi) is False:
+                raise ValueError(f"interval [{self.lo}, {self.hi}] is provably empty")
+
+    @property
+    def is_bot(self) -> bool:
+        return self.lo is None
+
+    def __str__(self) -> str:
+        if self.is_bot:
+            return "_|_"
+        return f"[{self.lo}, {self.hi}]"
+
+
 # ---------------------------------------------------------------------------
 # Statements
 # ---------------------------------------------------------------------------
@@ -156,21 +185,7 @@ class RowList:
     items: tuple[RowExpr, ...]
 
 
-@dataclass(frozen=True)
-class RowRange:
-    """Inclusive range of row positions ``lo .. hi``."""
-
-    lo: RowExpr
-    hi: RowExpr
-
-    def __post_init__(self):
-        if self.lo.inf:
-            raise ValueError("range lower bound cannot be inf")
-        if expr_le(self.lo, self.hi) is False:
-            raise ValueError(f"empty row range [{self.lo} .. {self.hi}]")
-
-
-RowSelector = RowList | RowRange
+RowSelector = RowList | RowInterval
 
 
 @dataclass(frozen=True)
@@ -390,7 +405,7 @@ def _parse_rows(text: str, lineno: int) -> RowSelector | None:
         lo = _parse_row_expr(lo_s, lineno)
         hi = _parse_row_expr(hi_s, lineno)
         try:
-            return RowRange(lo, hi)
+            return RowInterval(lo, hi)
         except ValueError as e:
             raise ParseError(str(e), lineno) from None
     items = tuple(_parse_row_expr(part, lineno) for part in inner.split(","))

@@ -32,8 +32,8 @@ from .lang import (
     Phi,
     Read,
     RowExpr,
+    RowInterval,
     RowList,
-    RowRange,
     Select,
     Statement,
     Use,
@@ -435,7 +435,7 @@ class _Translator:
             if lo is None or hi is None:
                 return None, None, False
             try:
-                return RowRange(lo, hi), None, True
+                return RowInterval(lo, hi), None, True
             except ValueError:
                 return None, None, False
         if isinstance(sl, ast.Constant):
@@ -751,9 +751,9 @@ class _Translator:
         split = self.fresh_symbol()
         for i, src in enumerate(dfs):
             self.define((names[2 * i], self.cur), Select, src,
-                        rows=RowRange(RowExpr.const(0), RowExpr.symbol(split)))
+                        rows=RowInterval(RowExpr.const(0), RowExpr.symbol(split)))
             self.define((names[2 * i + 1], self.cur), Select, src,
-                        rows=RowRange(RowExpr.symbol(split, 1), INF))
+                        rows=RowInterval(RowExpr.symbol(split, 1), INF))
         return True
 
     def translate_body(self, body) -> tuple[Statement, ...]:

@@ -31,7 +31,7 @@ from .lang import (
     Merge,
     Program,
     Read,
-    RowRange,
+    RowInterval,
     Select,
     Use,
     input_sources,
@@ -99,7 +99,7 @@ def _const_index(e, what: str) -> int:
 def _selector_indices(rows, nrows: int) -> list[int]:
     if rows is None:
         return list(range(nrows))
-    if isinstance(rows, RowRange):
+    if isinstance(rows, RowInterval):
         lo = _const_index(rows.lo, "select")
         if rows.hi.inf:
             hi = nrows - 1

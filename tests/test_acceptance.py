@@ -15,12 +15,9 @@ from conftest import CORPUS_DIR
 from dlcheck.corpus import notebook_bytes, synthetic_notebook
 from dlcheck.domains import (
     AbsDataFrame,
-    ColumnAbs,
-    TOP_COLS,
     col_join,
     col_leq,
     col_meet,
-    columns,
     df_constrain,
     df_join,
     df_leq,
@@ -50,7 +47,7 @@ from dlcheck.lang import (
     INF,
     Merge,
     RowExpr,
-    RowRange,
+    RowInterval,
     Select,
     parse_program,
 )
@@ -193,7 +190,7 @@ def test_criterion_3_domain_goldens():
     joined = df_join(a, b)
     ok = ok and joined == frame("file", {"id", "city", "country"}, 10, 15)
     ok = ok and df_meet(a, c) == frame("file", {"id"}, 12, 14)
-    ok = ok and df_constrain(joined, columns("city"), rows(1, 2)) == \
+    ok = ok and df_constrain(joined, frozenset({"city"}), rows(1, 2)) == \
         frame("file", {"city"}, 11, 12)
 
     reduced = set_reduce({
@@ -274,8 +271,8 @@ def _random_interval(rng):
 
 def _random_cols(rng):
     if rng.random() < 0.3:
-        return TOP_COLS
-    return ColumnAbs(frozenset(rng.sample(["a", "b", "c"], rng.randint(1, 3))))
+        return None
+    return frozenset(rng.sample(["a", "b", "c"], rng.randint(1, 3)))
 
 
 def _random_frame(rng):
@@ -347,7 +344,7 @@ def test_criterion_7_lattice_property_suite():
     stmts = [
         Apply("y", "normalize", "x"),
         Apply("y", "clean", "x"),
-        Select("y", "x", rows=RowRange(RowExpr.const(0), RowExpr.const(3))),
+        Select("y", "x", rows=RowInterval(RowExpr.const(0), RowExpr.const(3))),
         Select("y", "x", cols=frozenset({"a"})),
         Merge("y", "concat", "x", "x"),
     ]

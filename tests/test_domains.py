@@ -8,16 +8,12 @@ from dlcheck.domains import (
     BOT_ROWS,
     BOT_SOURCE,
     AbsDataFrame,
-    ColumnAbs,
     EnumerationError,
-    RowInterval,
     SourceAbs,
-    TOP_COLS,
     TOP_ROWS,
     col_join,
     col_leq,
     col_meet,
-    columns,
     df_constrain,
     df_join,
     df_leq,
@@ -43,26 +39,26 @@ from dlcheck.domains import (
     src_join,
     src_leq,
 )
-from dlcheck.lang import INF, RowExpr, expr_add, expr_le
+from dlcheck.lang import INF, RowExpr, RowInterval, expr_add, expr_le
 
 
 # -- columns -------------------------------------------------------------------
 
 def test_col_meet_with_top():
-    assert col_meet(TOP_COLS, columns("id")) == columns("id")
-    assert col_meet(columns("id"), TOP_COLS) == columns("id")
+    assert col_meet(None, frozenset({"id"})) == frozenset({"id"})
+    assert col_meet(frozenset({"id"}), None) == frozenset({"id"})
 
 
 def test_col_join():
-    assert col_join(columns("id", "city"), columns("country")) == \
-        columns("id", "city", "country")
-    assert col_join(TOP_COLS, columns("x")) == TOP_COLS
+    assert col_join(frozenset({"id", "city"}), frozenset({"country"})) == \
+        frozenset({"id", "city", "country"})
+    assert col_join(None, frozenset({"x"})) == None
 
 
 def test_col_leq_bottom():
-    for x in (TOP_COLS, columns(), columns("a")):
-        assert col_leq(columns(), x)
-    assert not col_leq(TOP_COLS, columns("a"))
+    for x in (None, frozenset(), frozenset({"a"})):
+        assert col_leq(frozenset(), x)
+    assert not col_leq(None, frozenset({"a"}))
 
 
 # -- row intervals ---------------------------------------------------------------
@@ -185,7 +181,7 @@ def test_join_meet_constrain_goldens():
     j = df_join(a, b)
     assert j == frame("file", {"id", "city", "country"}, 10, 15)
     assert df_meet(a, c) == frame("file", {"id"}, 12, 14)
-    assert df_constrain(j, columns("city"), rows(1, 2)) == frame("file", {"city"}, 11, 12)
+    assert df_constrain(j, frozenset({"city"}), rows(1, 2)) == frame("file", {"city"}, 11, 12)
     assert df_join(a, a) == a
 
 
@@ -197,17 +193,17 @@ def test_cross_file_join_rejected():
 
 def test_constrain_no_op():
     a = frame("f", {"x"}, 4, 9)
-    assert df_constrain(a, TOP_COLS, row_index(a.rows)) == a
+    assert df_constrain(a, None, row_index(a.rows)) == a
 
 
 def test_constrain_empty_results():
     a = frame("f", {"x"}, 4, 9)
-    assert df_constrain(a, columns("y"), rows(0, 2)) is None
-    assert df_constrain(a, TOP_COLS, rows(20, 30)) is None
+    assert df_constrain(a, frozenset({"y"}), rows(0, 2)) is None
+    assert df_constrain(a, None, rows(20, 30)) is None
 
 
 def test_constrain_symbolic():
-    got = df_constrain(frame("f"), columns("y"), rows(0, RowExpr.symbol("s")))
+    got = df_constrain(frame("f"), frozenset({"y"}), rows(0, RowExpr.symbol("s")))
     assert got == frame("f", {"y"}, 0, RowExpr.symbol("s"))
 
 
@@ -268,8 +264,8 @@ def _random_reduce_input(rng, p_symbolic):
             hi = INF
         if expr_le(lo, hi) is False:
             lo, hi = hi, lo
-        cols = TOP_COLS if rng.random() < 0.3 else \
-            ColumnAbs(frozenset(rng.sample(["a", "b", "c"], rng.randint(1, 3))))
+        cols = None if rng.random() < 0.3 else \
+            frozenset(rng.sample(["a", "b", "c"], rng.randint(1, 3)))
         out.append(AbsDataFrame(rng.choice("fg"), cols, rows(lo, hi)))
     return out
 
@@ -335,8 +331,8 @@ def _random_canonical(rng, p_symbolic):
             hi = bound()
             if expr_le(lo, hi) is False:
                 lo, hi = hi, lo
-        cols = TOP_COLS if rng.random() < 0.3 else \
-            ColumnAbs(frozenset(rng.sample("abcd", rng.randint(1, 3))))
+        cols = None if rng.random() < 0.3 else \
+            frozenset(rng.sample("abcd", rng.randint(1, 3)))
         out.append(AbsDataFrame(rng.choice("fg"), cols, rows(lo, hi)))
     return set_reduce(out)
 
@@ -461,7 +457,7 @@ def test_frame_hash_and_sort_key_are_computed_once_and_unchanged():
           frame("f", {"c"}, 0, 9)]
     for f in fs:
         assert hash(f) == hash((f.file, f.cols, f.rows))
-        cols = ("~top",) if f.cols.is_top else tuple(sorted(f.cols.cols))
+        cols = ("~top",) if f.cols is None else tuple(sorted(f.cols))
         assert domains._frame_key(f) == (f.file, cols, str(f.rows.lo), str(f.rows.hi))
         assert repr(f) == f"AbsDataFrame(file={f.file!r}, cols={f.cols!r}, rows={f.rows!r})"
         assert f == AbsDataFrame(f.file, f.cols, f.rows)
@@ -549,7 +545,7 @@ def test_set_join_neutral_element():
 
 def test_set_constrain_drops_empties():
     s = frozenset({frame("f", {"a"}, 0, 3), frame("f", {"b"}, 10, 20)})
-    got = set_constrain(s, columns("a"), TOP_ROWS)
+    got = set_constrain(s, frozenset({"a"}), TOP_ROWS)
     assert got == frozenset({frame("f", {"a"}, 0, 3)})
 
 
@@ -613,8 +609,8 @@ def _intervals(draw):
 
 
 _cols = st.one_of(
-    st.just(TOP_COLS),
-    st.sets(st.sampled_from(["a", "b", "c"])).map(lambda s: ColumnAbs(frozenset(s))),
+    st.none(),
+    st.frozensets(st.sampled_from(["a", "b", "c"])),
 )
 
 
@@ -623,7 +619,7 @@ def _frames(draw):
     from dlcheck.domains import AbsDataFrame
     cols = draw(_cols)
     iv = draw(_intervals())
-    if cols.is_empty or iv.is_bot:
+    if cols == frozenset() or iv.is_bot:
         return None
     return AbsDataFrame(draw(st.sampled_from(["f", "g"])), cols, iv)
 
@@ -680,8 +676,8 @@ def test_src_join_is_least_upper_boundish(a, b):
 @given(_frame_sets)
 def test_constrain_is_reductive(a):
     """Constraining never invents coverage: the result stays below the input."""
-    assert set_leq(set_constrain(a, columns("a", "b"), rows(0, 5)), a)
-    assert set_constrain(a, TOP_COLS, TOP_ROWS) == a
+    assert set_leq(set_constrain(a, frozenset({"a", "b"}), rows(0, 5)), a)
+    assert set_constrain(a, None, TOP_ROWS) == a
 
 
 @given(_sources, _sources)

@@ -26,8 +26,8 @@ from dlcheck.lang import (
     Program,
     Read,
     RowExpr,
+    RowInterval,
     RowList,
-    RowRange,
     Select,
     Use,
     parse_program,
@@ -85,7 +85,7 @@ def whole_prefix_generate_program(rng: random.Random):
                     elif style < 0.6:
                         lo = rng.randrange(n)
                         hi = rng.randrange(lo, n)
-                        sel = RowRange(RowExpr.const(lo), RowExpr.const(hi))
+                        sel = RowInterval(RowExpr.const(lo), RowExpr.const(hi))
                     else:
                         k = rng.randint(1, n)
                         sel = RowList(tuple(
@@ -209,16 +209,15 @@ def test_ungated_select_narrowing_detected():
     rule) drops dependencies after merges and permuted row lists; the
     fuzzer must be able to see that."""
     import dlcheck.interp as interp
-    from dlcheck.domains import ColumnAbs, SourceAbs, TOP_COLS, set_constrain
+    from dlcheck.domains import SourceAbs, set_constrain
     from dlcheck.lang import Select
 
     def ungated(s, m):
         if isinstance(s, Select) and s.source in m.env \
                 and not m.env[s.source].tainted:
             src = m.env[s.source]
-            cols = TOP_COLS if s.cols is None else ColumnAbs(frozenset(s.cols))
             window, _ = interp._selector_window(s.rows)
-            frames = set_constrain(src.frames, cols, window)
+            frames = set_constrain(src.frames, s.cols, window)
             return m.bind(s.target, SourceAbs(frames, False, True))
         return interp.transfer(s, m)
 

@@ -4,9 +4,7 @@ from dataclasses import replace
 import pytest
 
 from dlcheck.domains import (
-    ColumnAbs,
     SourceAbs,
-    TOP_COLS,
     TOP_ROWS,
     frame,
     rows,
@@ -37,8 +35,8 @@ from dlcheck.lang import (
     Phi,
     Read,
     RowExpr,
+    RowInterval,
     RowList,
-    RowRange,
     Select,
     Use,
     parse_program,
@@ -79,13 +77,13 @@ def test_transfer_normalize_taints():
 def test_tainted_select_does_not_narrow():
     st = transfer(Read("X", "f"), BOT_STATE)
     st = transfer(Apply("N", "normalize", "X"), st)
-    st = transfer(Select("T", "N", rows=RowRange(RowExpr.const(0), RowExpr.const(1))), st)
+    st = transfer(Select("T", "N", rows=RowInterval(RowExpr.const(0), RowExpr.const(1))), st)
     assert st.env["T"] == st.env["N"]
 
 
 def test_untainted_select_narrows():
     st = transfer(Read("X", "f"), BOT_STATE)
-    st = transfer(Select("T", "X", rows=RowRange(RowExpr.const(2), RowExpr.const(5))), st)
+    st = transfer(Select("T", "X", rows=RowInterval(RowExpr.const(2), RowExpr.const(5))), st)
     assert st.env["T"].frames == frozenset({frame("f", None, 2, 5)})
     # a second, relative selection composes positionally
     st = transfer(Select("U", "T", rows=RowList((RowExpr.const(0), RowExpr.const(1)))), st)
@@ -98,7 +96,7 @@ def test_select_after_merge_keeps_rows():
     st = transfer(Read("a", "f"), BOT_STATE)
     st = transfer(Read("b", "f"), st)
     st = transfer(Merge("c", "concat", "a", "b"), st)
-    st = transfer(Select("d", "c", rows=RowRange(RowExpr.const(5), RowExpr.const(6))), st)
+    st = transfer(Select("d", "c", rows=RowInterval(RowExpr.const(5), RowExpr.const(6))), st)
     assert st.env["d"].frames == st.env["c"].frames
 
 
@@ -223,8 +221,8 @@ def test_finding_deduplication_per_pair():
 
 def test_branch_joins_arms():
     arms = (
-        (Select("y", "x", rows=RowRange(RowExpr.const(0), RowExpr.const(3))),),
-        (Select("z", "x", rows=RowRange(RowExpr.const(6), RowExpr.const(9))),),
+        (Select("y", "x", rows=RowInterval(RowExpr.const(0), RowExpr.const(3))),),
+        (Select("z", "x", rows=RowInterval(RowExpr.const(6), RowExpr.const(9))),),
     )
     st = transfer(Read("x", "f"), BOT_STATE)
     st = transfer(Branch(arms), st)
@@ -245,7 +243,7 @@ def test_loop_accumulates_to_fixpoint():
     body = (Merge("x", "concat", "x", "y"),)
     st = transfer(Read("x", "f"), BOT_STATE)
     st = transfer(Read("y", "g"), st)
-    st = transfer(Select("x", "x", rows=RowRange(RowExpr.const(0), RowExpr.const(3))), st)
+    st = transfer(Select("x", "x", rows=RowInterval(RowExpr.const(0), RowExpr.const(3))), st)
     out = transfer(Loop(body), st)
     assert source_covers(out.env["x"], "g", 100)
     assert source_covers(out.env["x"], "f", 2)
@@ -254,7 +252,7 @@ def test_loop_accumulates_to_fixpoint():
 def test_loop_terminates_with_widening():
     # shifting selects produce strictly descending intervals; widening kills
     # the descent and the join keeps the first iterations covered
-    body = (Select("x", "x", rows=RowRange(RowExpr.const(1), RowExpr.const(1_000_000))),)
+    body = (Select("x", "x", rows=RowInterval(RowExpr.const(1), RowExpr.const(1_000_000))),)
     st = transfer(Read("x", "f"), BOT_STATE)
     out = transfer(Loop(body), st)
     assert source_covers(out.env["x"], "f", 0)
@@ -267,7 +265,7 @@ def test_transfer_monotone_on_env_samples():
     for stmt in (
         Apply("y", "normalize", "x"),
         Apply("y", "clean", "x"),
-        Select("y", "x", rows=RowRange(RowExpr.const(0), RowExpr.const(1))),
+        Select("y", "x", rows=RowInterval(RowExpr.const(0), RowExpr.const(1))),
         Merge("y", "concat", "x", "x"),
     ):
         a = transfer(stmt, narrow)
@@ -345,13 +343,12 @@ def _ref_transfer(s, m):
         return _ref_bind(m, s.target, src, s.source in aligned)
     if src.tainted:
         return _ref_bind(m, s.target, src, s.source in aligned)
-    cols = TOP_COLS if s.cols is None else ColumnAbs(frozenset(s.cols))
     window, contiguous = _selector_window(s.rows)
     if s.source in aligned:
-        frames = set_constrain(src.frames, cols, window)
+        frames = set_constrain(src.frames, s.cols, window)
         return _ref_bind(m, s.target, SourceAbs(frames, False),
                          contiguous and len(frames) <= 1)
-    frames = set_constrain(src.frames, cols, TOP_ROWS)
+    frames = set_constrain(src.frames, s.cols, TOP_ROWS)
     return _ref_bind(m, s.target, SourceAbs(frames, False), False)
 
 
@@ -403,7 +400,7 @@ def _random_align_stmt(rng, st):
     lo = rng.randint(0, 6)
     selector = rng.choice((
         None,
-        RowRange(RowExpr.const(lo), RowExpr.const(lo + rng.randint(0, 5))),
+        RowInterval(RowExpr.const(lo), RowExpr.const(lo + rng.randint(0, 5))),
         RowList((RowExpr.const(lo), RowExpr.const(lo + 1))),
         RowList((RowExpr.const(lo), RowExpr.const(lo + 2))),
     ))

@@ -17,8 +17,8 @@ from dlcheck.lang import (
     Program,
     Read,
     RowExpr,
+    RowInterval,
     RowList,
-    RowRange,
     Select,
     SsaError,
     UndefinedVariableError,
@@ -57,7 +57,7 @@ def test_parse_motivating_program():
     assert len(p.statements) == 7
     sel = p.statements[3]
     assert isinstance(sel, Select)
-    assert sel.rows == RowRange(RowExpr.symbol("s", 1), RowExpr.symbol("R"))
+    assert sel.rows == RowInterval(RowExpr.symbol("s", 1), RowExpr.symbol("R"))
     assert p.statements[1].cols == frozenset({"X_1", "X_2", "y"})
 
 
@@ -175,7 +175,7 @@ def _programs(draw):
                     st.lists(_row_exprs, min_size=1, max_size=3).map(
                         lambda xs: RowList(tuple(xs))),
                     st.tuples(st.integers(0, 5), st.integers(5, 20)).map(
-                        lambda p: RowRange(RowExpr.const(p[0]), RowExpr.const(p[1]))),
+                        lambda p: RowInterval(RowExpr.const(p[0]), RowExpr.const(p[1]))),
                 ))
                 cols = draw(st.one_of(st.none(), st.sets(
                     st.sampled_from(["a", "b", "c"]), min_size=1).map(frozenset)))

@@ -21,7 +21,7 @@ from dlcheck.lang import (
     Phi,
     Read,
     RowExpr,
-    RowRange,
+    RowInterval,
     Select,
     Use,
     stmt_sources,
@@ -60,7 +60,7 @@ def test_translate_iloc_slice_with_symbolic_end():
     cell = translate_cell("X_train = X.iloc[:split+1]")
     assert cell.statements == (
         Select("X_train", "X",
-               rows=RowRange(RowExpr.const(0), RowExpr.symbol("split", 1))),
+               rows=RowInterval(RowExpr.const(0), RowExpr.symbol("split", 1))),
     )
 
 
@@ -113,7 +113,7 @@ def test_boolean_mask_select_keeps_rows():
 def test_loc_with_row_and_column_parts():
     cell = translate_cell("y = df.loc[0:9, ['a', 'b']]")
     sel = cell.statements[0]
-    assert sel.rows == RowRange(RowExpr.const(0), RowExpr.const(9))
+    assert sel.rows == RowInterval(RowExpr.const(0), RowExpr.const(9))
     assert sel.cols == frozenset({"a", "b"})
 
 
@@ -122,7 +122,7 @@ def test_negative_slice_binds_fresh_symbol():
     # it comparable-to-nothing, which downstream checks treat conservatively
     cell = translate_cell("y = df.iloc[-5:]")
     rows = cell.statements[0].rows
-    assert isinstance(rows, RowRange)
+    assert isinstance(rows, RowInterval)
     assert rows.lo.sym is not None and rows.hi == INF
 
 

@@ -363,8 +363,8 @@ def test_cli_parse_error_names_the_line(tmp_path, capsys):
     path = tmp_path / "bad.dfl"
     for line, message in [
         ("bogus line", "unrecognized statement 'bogus line'"),
-        ("b = a.select[[5 .. 2]][]", "empty row range [5 .. 2]"),
-        ("b = a.select[[inf .. inf]][]", "range lower bound cannot be inf"),
+        ("b = a.select[[5 .. 2]][]", "interval [5, 2] is provably empty"),
+        ("b = a.select[[inf .. inf]][]", "lower bound cannot be inf"),
     ]:
         path.write_text(f'a = read("f")\n{line}\n')
         assert main(["analyze", str(path)]) == 2
