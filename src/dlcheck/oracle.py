@@ -281,13 +281,18 @@ def enumerate_independence(
 
     Returns ``(trace_set, independent, witnesses)`` where each witness is a
     ``(input key, file, row)`` triple for which flipping that row changed
-    both sides.
+    both sides.  Raises ``OracleError`` when ``values`` holds fewer than two
+    distinct values.
     """
     files = tuple(sorted(input_sources(p)))
     for f in files:
         if f not in shapes:
             raise OracleError(f"no shape declared for file {f!r}")
-    values = tuple(Fraction(v) for v in sorted(set(values)))
+    values = tuple(sorted({Fraction(v) for v in values}))
+    if len(values) < 2:
+        # With one value no row can change, so no dependence could show.
+        raise OracleError("a value domain needs at least two distinct values, "
+                          f"got {len(values)}")
     total_cells = sum(shapes[f][0] * shapes[f][1] for f in files)
     if len(values) ** total_cells > budget:
         raise OracleError(

@@ -161,6 +161,18 @@ def test_enumerate_budget():
         enumerate_independence(p, {3, 9}, {"a.csv": (20, 1)}, budget=100)
 
 
+SPLIT_AFTER_NORMALIZE = parse_program(
+    'a = read("f.csv")\nb = normalize(a)\nc = b.select[[0 .. 0]][]\n'
+    'd = b.select[[1 .. 2]][]\ntrain(c)\ntest(d)')
+
+
+@pytest.mark.parametrize("values", [[3], [3, 3], []])
+def test_enumerate_rejects_fewer_than_two_distinct_values(values):
+    # One value cannot change any row, so it would report independence.
+    with pytest.raises(OracleError, match="at least two distinct values"):
+        enumerate_independence(SPLIT_AFTER_NORMALIZE, values, {"f.csv": (3, 1)})
+
+
 def test_enumerate_independence_verdicts():
     _, ind_bad, wit = enumerate_independence(NORMALIZE_FIRST, {3, 9},
                                              {"data.csv": (4, 1)})

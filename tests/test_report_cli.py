@@ -325,6 +325,21 @@ test(te)
     assert doc["witnesses"]
 
 
+@pytest.mark.parametrize("values, code", [("3", 2), ("3,3", 2), ("1,2,3", 1)])
+def test_cli_oracle_needs_two_distinct_values(tmp_path, capsys, values, code):
+    p = tmp_path / "split_after_normalize.dfl"
+    p.write_text('a = read("f.csv")\nb = normalize(a)\nc = b.select[[0 .. 0]][]\n'
+                 'd = b.select[[1 .. 2]][]\ntrain(c)\ntest(d)\n')
+    assert main(["oracle", str(p), "--shape", "f.csv=3x1", "--values", values]) == code
+    out = capsys.readouterr()
+    if code == 2:
+        assert out.out == ""
+        assert out.err == ("error: a value domain needs at least two distinct "
+                           "values, got 1\n")
+    else:
+        assert json.loads(out.out)["independent"] is False
+
+
 def test_cli_oracle_fuzz(capsys):
     assert main(["oracle", "--fuzz", "30", "--seed", "11"]) == 0
     doc = json.loads(capsys.readouterr().out)
