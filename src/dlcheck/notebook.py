@@ -190,12 +190,6 @@ class Notebook:
         object.__setattr__(self, "cell_warnings", tuple(
             f"cell {c.id}: {w}" for c in self.cells for w in c.warnings))
 
-    def cell(self, cell_id: int) -> CellIR:
-        try:
-            return self.by_id[cell_id]
-        except KeyError:
-            raise KeyError(f"no cell {cell_id}") from None
-
 
 def _walk(stmts, nested: bool, defined: set[str], pre: set[str],
           inputs: set[str]) -> bool:
@@ -248,14 +242,6 @@ def _cell_facts(statements, exports, precondition=None):
             defined.add(base)
     reads = precondition.union(inputs) if inputs else precondition
     return precondition, (has_use, frozenset(defined), reads)
-
-
-def cell_precondition(statements) -> frozenset[str]:
-    """Variables read before any assignment, over the translated statements
-    (which only ever mention data-frame variables)."""
-    pre: set[str] = set()
-    _walk(statements, False, set(), pre, set())
-    return frozenset(pre)
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,7 @@ def reference_propagate(nb, start, cfg, warnings, records):
         finally:
             seen[cell.id].pop()
 
-    dfs(nb.cell(start), BOT_STATE, ())
+    dfs(nb.by_id[start], BOT_STATE, ())
     return traces
 
 

@@ -33,8 +33,8 @@ from dlcheck.notebook import (
     Notebook,
     NotebookError,
     _SCOPES,
+    _cell_facts,
     _statements,
-    cell_precondition,
     default_kb,
     load_notebook,
     translate_cell,
@@ -296,7 +296,6 @@ def test_tuple_assignment_that_is_not_a_split_is_dropped(line):
 def test_cell_precondition_define_then_use():
     cell = translate_cell("x = pd.read_csv('f.csv')\ny = x.dropna()")
     assert cell.precondition == frozenset()
-    assert cell_precondition(cell.statements) == frozenset()
     assert translate_cell("").precondition == frozenset()
 
 
@@ -436,7 +435,7 @@ def test_merged_walk_matches_the_reference_walkers():
         for i in range(5):
             stmts = _random_statements(rng, 0)
             shape(stmts)
-            pre = cell_precondition(stmts)
+            pre = _cell_facts(stmts, ())[0]
             assert pre == _reference_precondition(stmts), stmts
             exports = tuple((v, v + rng.choice(("", "'")))
                             for v in WALK_VARS if rng.random() < 0.3)
