@@ -168,7 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="concrete independence oracle / fuzzer")
     p.add_argument("path", nargs="?")
-    p.add_argument("--values", default="3,9", help="comma-separated value domain")
+    p.add_argument("--values", default="3,9",
+                   help="comma-separated value domain, two or more distinct values")
     p.add_argument("--shape", action="append", metavar="FILE=RxC",
                    help="input shape, repeatable")
     p.add_argument("--budget", type=int, default=2 ** 16,
