@@ -52,7 +52,7 @@ def test_col_meet_with_top():
 def test_col_join():
     assert col_join(frozenset({"id", "city"}), frozenset({"country"})) == \
         frozenset({"id", "city", "country"})
-    assert col_join(None, frozenset({"x"})) == None
+    assert col_join(None, frozenset({"x"})) is None
 
 
 def test_col_leq_bottom():
