@@ -109,6 +109,21 @@ def test_gapped_list_select_breaks_alignment():
     assert st.env["z"].frames == frozenset({frame("f", None, 0, 2)})
 
 
+def test_empty_list_select_on_an_aligned_source_binds_no_frame():
+    st = transfer(Read("x", "f"), BOT_STATE)
+    st = transfer(Select("y", "x", rows=RowList(())), st)
+    assert st.env["y"] == SourceAbs(frozenset(), False, True)
+
+
+def test_empty_list_select_on_an_unaligned_source_keeps_its_frames():
+    """Positions of an unaligned value do not track its frames, so only the
+    columns are constrained, as for any other row selector."""
+    st = transfer(Read("x", "f"), BOT_STATE)
+    st = transfer(Select("y", "x", rows=RowList((RowExpr.const(0), RowExpr.const(2)))), st)
+    st = transfer(Select("z", "y", rows=RowList(()), cols=frozenset({"a"})), st)
+    assert st.env["z"] == SourceAbs(frozenset({frame("f", {"a"}, 0, 2)}), False, False)
+
+
 def test_merge_joins_sources_and_taint():
     st = transfer(Read("a", "f"), BOT_STATE)
     st = transfer(Read("b", "g"), st)

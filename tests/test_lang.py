@@ -172,7 +172,7 @@ def _programs(draw):
             elif kind == 1:
                 rows = draw(st.one_of(
                     st.none(),
-                    st.lists(_row_exprs, min_size=1, max_size=3).map(
+                    st.lists(_row_exprs, min_size=0, max_size=3).map(
                         lambda xs: RowList(tuple(xs))),
                     st.tuples(st.integers(0, 5), st.integers(5, 20)).map(
                         lambda p: RowInterval(RowExpr.const(p[0]), RowExpr.const(p[1]))),

@@ -75,6 +75,14 @@ def test_dump_state_matches_worked_example(motivating_dfl):
     assert states[5]["env"] == states[4]["env"] == states[6]["env"]
 
 
+def test_dump_state_shows_an_empty_list_select_with_no_sources(tmp_path, capsys):
+    p = tmp_path / "empty.dfl"
+    p.write_text('a = read("f.csv")\nb = a.select[[]][]\n')
+    assert main(["analyze", str(p), "--format", "json", "--dump-state"]) == 0
+    states = json.loads(capsys.readouterr().out)["states"]
+    assert states[1]["env"]["b"] == {"sources": [], "tainted": False}
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     leak = tmp_path / "leak.dfl"
     leak.write_text(MOTIVATING)
