@@ -30,8 +30,6 @@ from .lang import (  # noqa: F401
 )
 from .domains import (  # noqa: F401
     AbsDataFrame,
-    BOT_ROWS,
-    BOT_SOURCE,
     SourceAbs,
     TOP_ROWS,
 )

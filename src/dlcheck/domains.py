@@ -1,11 +1,13 @@
 """Provenance lattices used by the analyzer.
 
 The stack, bottom-up: column abstractions (a ``frozenset`` of labels, or
-``None`` for top: unknown columns), row intervals over the naturals with
-possibly-symbolic bounds (``lang.RowInterval``), per-file abstract frames,
-canonical sets of pairwise non-overlapping frames, and the source
-abstraction that pairs a frame set with a taint flag and a
-positional-alignment flag.
+``None`` for top: unknown columns), non-empty row intervals over the
+naturals with possibly-symbolic bounds (``lang.RowInterval``), per-file
+abstract frames, canonical sets of pairwise non-overlapping frames, and the
+source abstraction that pairs a frame set with a taint flag and a
+positional-alignment flag.  No interval or frame is empty: an empty frame
+is one absent from its set, and ``row_meet``, ``row_unindex``, ``df_meet``
+and ``df_constrain`` return ``None`` for an empty result.
 
 Symbolic bounds make comparisons three-valued.  Unknown comparisons are
 resolved conservatively: overlap tests answer "may overlap", join bounds
@@ -58,7 +60,6 @@ def col_meet(a: frozenset[str] | None, b: frozenset[str] | None) -> frozenset[st
 # Row intervals
 # ---------------------------------------------------------------------------
 
-BOT_ROWS = RowInterval(None, None)
 TOP_ROWS = RowInterval(RowExpr.const(0), INF)
 
 
@@ -93,10 +94,6 @@ def _max_expr(a: RowExpr, b: RowExpr, unknown: RowExpr) -> RowExpr:
 
 def row_leq(a: RowInterval, b: RowInterval) -> bool:
     """Definite containment; unknown comparisons count as not contained."""
-    if a.is_bot:
-        return True
-    if b.is_bot:
-        return False
     return expr_le(b.lo, a.lo) is True and expr_le(a.hi, b.hi) is True
 
 
@@ -106,10 +103,6 @@ def _floor(e: RowExpr) -> int:
 
 
 def row_join(a: RowInterval, b: RowInterval) -> RowInterval:
-    if a.is_bot:
-        return b
-    if b.is_bot:
-        return a
     # When the lower bounds are incomparable, the tightest sound constant
     # is the smaller of their floors (not 0).
     hull_lo = RowExpr.const(min(_floor(a.lo), _floor(b.lo)))
@@ -123,8 +116,6 @@ def row_disjoint(a: RowInterval, b: RowInterval) -> bool:
     """True only when the intervals provably share no index.  When no bound
     has a symbol, the offsets are compared as integers."""
     alo, ahi, blo, bhi = a.lo, a.hi, b.lo, b.hi
-    if alo is None or blo is None:
-        return True
     if alo.sym is None and ahi.sym is None and blo.sym is None and bhi.sym is None:
         # The lower bounds are constants; the upper ones constants or inf.
         return ((not ahi.inf and ahi.offset < blo.offset)
@@ -137,9 +128,11 @@ def _pick(a: RowExpr, b: RowExpr) -> RowExpr:
     return min(a, b, key=str)
 
 
-def row_meet(a: RowInterval, b: RowInterval) -> RowInterval:
+def row_meet(a: RowInterval, b: RowInterval) -> RowInterval | None:
+    """An interval that contains every index both operands contain; None
+    when the operands provably share no index."""
     if row_disjoint(a, b):
-        return BOT_ROWS
+        return None
     # On unknown bound comparisons either operand's bound over-approximates
     # the exact intersection; pick one symmetrically.
     lo = _max_expr(a.lo, b.lo, _pick(a.lo, b.lo))
@@ -153,35 +146,32 @@ def row_meet(a: RowInterval, b: RowInterval) -> RowInterval:
 
 def row_index(r: RowInterval) -> RowInterval:
     """The 0-based index interval of ``r``: [l,u] maps to [0, u-l]."""
-    if r.is_bot:
-        return BOT_ROWS
     width = expr_sub(r.hi, r.lo)
     if width is None:
         width = INF
     return RowInterval(RowExpr.const(0), width)
 
 
-def row_unindex(r: RowInterval, ij: RowInterval) -> RowInterval:
-    """The sub-interval of ``r`` between positional indices ``ij``.
+def row_unindex(r: RowInterval, ij: RowInterval) -> RowInterval | None:
+    """The sub-interval of ``r`` between positional indices ``ij``; None
+    when it is empty, as when ``ij`` provably starts past the end of ``r``.
 
     ``ij`` is first met with ``row_index(r)``, so out-of-range indices are
     clipped rather than rejected.  When no bound of ``r`` or ``ij`` has a
     symbol, the same window is computed on integers, with no ``row_index``
     or ``row_meet`` intermediates.
     """
-    if r.is_bot or ij.is_bot:
-        return BOT_ROWS
     lo, hi, i, j = r.lo, r.hi, ij.lo, ij.hi
     if lo.sym is None and hi.sym is None and i.sym is None and j.sym is None:
         # lo and i are constants; hi and j are constants or inf.
         if not hi.inf and hi.offset - lo.offset < i.offset:
-            return BOT_ROWS
+            return None
         if not j.inf and (hi.inf or lo.offset + j.offset < hi.offset):
             hi = RowExpr.const(lo.offset + j.offset)
         return RowInterval(lo.shift(i.offset), hi)
     ij = row_meet(row_index(r), ij)
-    if ij.is_bot:
-        return BOT_ROWS
+    if ij is None:
+        return None
     lo = expr_add(r.lo, ij.lo)
     if lo is None or lo.inf:
         lo = r.lo
@@ -197,15 +187,11 @@ def row_unindex(r: RowInterval, ij: RowInterval) -> RowInterval:
 
 def row_contains(r: RowInterval, n: int) -> bool:
     """Definite membership of a concrete index."""
-    if r.is_bot:
-        return False
     e = RowExpr.const(n)
     return expr_le(r.lo, e) is True and expr_le(e, r.hi) is True
 
 
 def gamma_rows(r: RowInterval) -> frozenset[int]:
-    if r.is_bot:
-        return frozenset()
     if r.hi.inf or not (r.lo.is_const and r.hi.is_const):
         raise EnumerationError(f"cannot enumerate {r}")
     return frozenset(range(r.lo.offset, r.hi.offset + 1))
@@ -219,8 +205,8 @@ def gamma_rows(r: RowInterval) -> frozenset[int]:
 class AbsDataFrame:
     """Provenance triple: file name, column abstraction, row interval.
 
-    Degenerate frames (empty columns or bottom rows) are never constructed;
-    emptiness is encoded by absence from a set.
+    Neither the column set nor the row interval is ever empty; an empty
+    frame is encoded by absence from a set.
     """
 
     file: str
@@ -236,8 +222,6 @@ class AbsDataFrame:
         # Filling the instance dictionary in one call costs less than the
         # generated frozen ``__init__`` and ``__post_init__`` setting each
         # field through ``object.__setattr__``.
-        if rows.is_bot:
-            raise ValueError("frame rows cannot be bottom")
         if cols is not None and not cols:
             raise ValueError("frame columns cannot be empty")
         key = (file, ("~top",) if cols is None else tuple(sorted(cols)),
@@ -290,7 +274,7 @@ def df_meet(a: AbsDataFrame, b: AbsDataFrame) -> AbsDataFrame | None:
         raise DomainError(f"meet across files {a.file!r} and {b.file!r}")
     cols = col_meet(a.cols, b.cols)
     rows_ = row_meet(a.rows, b.rows)
-    if (cols is not None and not cols) or rows_.is_bot:
+    if (cols is not None and not cols) or rows_ is None:
         return None
     return AbsDataFrame(a.file, cols, rows_)
 
@@ -303,7 +287,7 @@ def df_constrain(a: AbsDataFrame, c: frozenset[str] | None,
     if cols is not None and not cols:
         return None
     rows_ = row_unindex(a.rows, ij)
-    if rows_.is_bot:
+    if rows_ is None:
         return None
     return AbsDataFrame(a.file, cols, rows_)
 
@@ -436,9 +420,6 @@ class SourceAbs:
         inner = ", ".join(str(f) for f in ordered_frames(self.frames))
         flag = "maybe-tainted" if self.tainted else "untainted"
         return f"<{{{inner}}}, {flag}>"
-
-
-BOT_SOURCE = SourceAbs()
 
 
 def src_leq(a: SourceAbs, b: SourceAbs) -> bool:

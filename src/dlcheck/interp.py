@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .domains import (
-    BOT_ROWS,
     AbsDataFrame,
     SourceAbs,
     TOP_ROWS,
@@ -126,15 +125,16 @@ def widen_state(prev: AbstractState, nxt: AbstractState) -> AbstractState:
 # Transfer functions
 # ---------------------------------------------------------------------------
 
-def _selector_window(rows) -> tuple[RowInterval, bool]:
-    """Positional index window of a row selector and whether the selection
-    is contiguous (preserves positional alignment)."""
+def _selector_window(rows) -> tuple[RowInterval | None, bool]:
+    """Positional index window of a row selector (None for the empty list)
+    and whether the selection is contiguous (preserves positional
+    alignment)."""
     if rows is None:
         return TOP_ROWS, True
     if isinstance(rows, RowInterval):
         return rows, True
     if not rows.items:
-        return BOT_ROWS, True
+        return None, True
     lo = rows.items[0]
     hi = rows.items[0]
     for e in rows.items[1:]:
@@ -174,7 +174,8 @@ def transfer(s: Statement, m: AbstractState) -> AbstractState:
             return m.bind(s.target, src)
         window, contiguous = _selector_window(s.rows)
         if src.aligned:
-            frames = set_constrain(src.frames, s.cols, window)
+            frames = (frozenset() if window is None
+                      else set_constrain(src.frames, s.cols, window))
             out_aligned = contiguous and len(frames) <= 1
         else:
             # Row positions no longer line up with the tracked intervals, so

@@ -149,30 +149,26 @@ def expr_sub(a: RowExpr, b: RowExpr) -> RowExpr | None:
 
 @dataclass(frozen=True)
 class RowInterval:
-    """Inclusive interval of row positions, or bottom (both bounds None).
+    """Non-empty inclusive interval ``[lo, hi]`` of row positions.
 
     A ``Select`` uses it as its range selector ``lo .. hi``; the analyzer's
-    frames use it for the rows they cover."""
+    frames use it for the rows they cover.  No interval denotes no rows:
+    an operation whose result may be empty returns ``None`` instead."""
 
-    lo: RowExpr | None
-    hi: RowExpr | None
+    lo: RowExpr
+    hi: RowExpr
 
     def __post_init__(self):
-        if (self.lo is None) != (self.hi is None):
-            raise ValueError("both bounds must be set, or neither")
-        if self.lo is not None:
-            if self.lo.inf:
-                raise ValueError("lower bound cannot be inf")
-            if expr_le(self.lo, self.hi) is False:
-                raise ValueError(f"interval [{self.lo}, {self.hi}] is provably empty")
-
-    @property
-    def is_bot(self) -> bool:
-        return self.lo is None
+        if self.lo is None:
+            raise ValueError("lower bound is missing")
+        if self.hi is None:
+            raise ValueError("upper bound is missing")
+        if self.lo.inf:
+            raise ValueError("lower bound cannot be inf")
+        if expr_le(self.lo, self.hi) is False:
+            raise ValueError(f"interval [{self.lo}, {self.hi}] is provably empty")
 
     def __str__(self) -> str:
-        if self.is_bot:
-            return "_|_"
         return f"[{self.lo}, {self.hi}]"
 
 

@@ -5,8 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from dlcheck import domains
 from dlcheck.domains import (
-    BOT_ROWS,
-    BOT_SOURCE,
     AbsDataFrame,
     EnumerationError,
     SourceAbs,
@@ -65,7 +63,6 @@ def test_col_leq_bottom():
 
 def test_row_meet_examples():
     assert row_meet(rows(10, 14), rows(12, 15)) == rows(12, 14)
-    assert row_meet(BOT_ROWS, rows(0, 3)) == BOT_ROWS
 
 
 def test_row_join_example():
@@ -76,7 +73,6 @@ def test_row_index():
     assert row_index(rows(10, 14)) == rows(0, 4)
     assert row_index(TOP_ROWS) == TOP_ROWS
     assert row_index(rows(5, 5)) == rows(0, 0)
-    assert row_index(BOT_ROWS) == BOT_ROWS
 
 
 def test_row_unindex():
@@ -102,7 +98,7 @@ def test_row_unindex_matches_positional_selection():
                     got = row_unindex(rows(l, u), rows(i, j))
                     kept = [p for p in range(i, j + 1) if p <= u - l]
                     if not kept:
-                        assert got.is_bot
+                        assert got is None
                     else:
                         assert gamma_rows(got) == \
                             set(range(l + kept[0], l + kept[-1] + 1))
@@ -111,11 +107,9 @@ def test_row_unindex_matches_positional_selection():
 def reference_row_unindex(r, ij):
     """``row_unindex`` before its symbol-free path: meet ``ij`` with
     ``row_index(r)``, then shift the result by ``r.lo``."""
-    if r.is_bot:
-        return BOT_ROWS
     ij = row_meet(row_index(r), ij)
-    if ij.is_bot:
-        return BOT_ROWS
+    if ij is None:
+        return None
     lo = expr_add(r.lo, ij.lo)
     if lo is None or lo.inf:
         lo = r.lo
@@ -130,8 +124,6 @@ def reference_row_unindex(r, ij):
 
 
 def _random_interval(rng, p_symbolic):
-    if rng.random() < 0.05:
-        return BOT_ROWS
     lo, hi = _random_bound(rng, p_symbolic), _random_bound(rng, p_symbolic)
     if rng.random() < 0.2:
         hi = INF
@@ -151,17 +143,17 @@ def test_row_unindex_matches_the_composition():
         r, ij = _random_interval(rng, p_symbolic), _random_interval(rng, p_symbolic)
         got = row_unindex(r, ij)
         assert got == reference_row_unindex(r, ij), (str(r), str(ij))
-        if p_symbolic == 0.0 and not (r.is_bot or ij.is_bot):
-            outcomes.add("bot" if got.is_bot else "whole" if got == r else "part")
-    assert outcomes == {"bot", "whole", "part"}
+        if p_symbolic == 0.0:
+            outcomes.add("empty" if got is None else "whole" if got == r else "part")
+    assert outcomes == {"empty", "whole", "part"}
 
 
 def test_symbolic_disjointness():
     s = RowExpr.symbol("s")
-    assert row_meet(rows(s.shift(1), "inf"), rows(0, s)) == BOT_ROWS
+    assert row_meet(rows(s.shift(1), "inf"), rows(0, s)) is None
     # different symbols cannot be separated
     assert row_meet(rows(RowExpr.symbol("a"), "inf"),
-                    rows(0, RowExpr.symbol("b"))) != BOT_ROWS
+                    rows(0, RowExpr.symbol("b"))) is not None
 
 
 # -- frames ---------------------------------------------------------------------
@@ -561,13 +553,13 @@ def test_src_join_taint_or():
 
 def test_src_leq_bottom():
     x = SourceAbs(frozenset({frame("f", None, 0, 9)}), True)
-    assert src_leq(BOT_SOURCE, x)
+    assert src_leq(SourceAbs(), x)
 
 
 def test_gamma_source():
     a = SourceAbs(frozenset({frame("f", None, 0, 1)}), False)
     assert gamma_source(a) == {("f", 0), ("f", 1)}
-    assert gamma_source(BOT_SOURCE) == frozenset()
+    assert gamma_source(SourceAbs()) == frozenset()
     b = SourceAbs(frozenset({frame("f", {"c"}, 2, 3), frame("g", None, 0, 0)}), True)
     assert gamma_source(b) == {("f", 2), ("f", 3), ("g", 0)}
 
@@ -596,8 +588,6 @@ _exprs = st.one_of(
 
 @st.composite
 def _intervals(draw):
-    if draw(st.integers(0, 9)) == 0:
-        return BOT_ROWS
     lo = draw(_exprs)
     if draw(st.booleans()):
         hi = RowExpr(inf=True)
@@ -619,7 +609,7 @@ def _frames(draw):
     from dlcheck.domains import AbsDataFrame
     cols = draw(_cols)
     iv = draw(_intervals())
-    if cols == frozenset() or iv.is_bot:
+    if cols == frozenset():
         return None
     return AbsDataFrame(draw(st.sampled_from(["f", "g"])), cols, iv)
 
@@ -695,13 +685,11 @@ def test_row_meet_overapproximates_intersection(a, b):
     m = row_meet(a, b)
     for n in range(0, 25):
         if row_contains(a, n) and row_contains(b, n):
-            assert row_contains(m, n)
+            assert m is not None and row_contains(m, n)
 
 
 @given(_intervals())
 def test_unindex_index_identity(r):
-    if r.is_bot:
-        return
     assert row_unindex(r, row_index(r)) == r
 
 

@@ -217,7 +217,8 @@ def test_ungated_select_narrowing_detected():
                 and not m.env[s.source].tainted:
             src = m.env[s.source]
             window, _ = interp._selector_window(s.rows)
-            frames = set_constrain(src.frames, s.cols, window)
+            frames = (frozenset() if window is None
+                      else set_constrain(src.frames, s.cols, window))
             return m.bind(s.target, SourceAbs(frames, False, True))
         return interp.transfer(s, m)
 

@@ -81,6 +81,18 @@ def test_program_rejects_control_flow(node):
         Program((Read("a", "f"), node))
 
 
+@pytest.mark.parametrize("lo, hi, missing", [
+    (None, None, "lower"),
+    (None, RowExpr.const(3), "lower"),
+    (RowExpr.const(0), None, "upper"),
+])
+def test_row_interval_names_a_missing_bound(lo, hi, missing):
+    """An interval is never empty, so no ``Select`` holds a range that
+    ``stmt_text`` cannot print or the oracle cannot read."""
+    with pytest.raises(ValueError, match=f"^{missing} bound is missing$"):
+        Select("y", "x", rows=RowInterval(lo, hi))
+
+
 def test_syntax_error_carries_line():
     with pytest.raises(ParseError) as e:
         parse_program('a = read("f")\nb = ???')
