@@ -126,9 +126,8 @@ def widen_state(prev: AbstractState, nxt: AbstractState) -> AbstractState:
 # ---------------------------------------------------------------------------
 
 def _selector_window(rows) -> tuple[RowInterval | None, bool]:
-    """Positional index window of a row selector (None for the empty list)
-    and whether the selection is contiguous (preserves positional
-    alignment)."""
+    """Positional index window of a row selector (None for no rows) and
+    whether the selection is contiguous (preserves positional alignment)."""
     if rows is None:
         return TOP_ROWS, True
     if isinstance(rows, RowInterval):
