@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from dlcheck.cli import main
 from dlcheck.fuzz import generate_program
 from dlcheck.lang import (
     Merge,
@@ -173,6 +174,22 @@ def test_enumerate_rejects_fewer_than_two_distinct_values(values):
         enumerate_independence(SPLIT_AFTER_NORMALIZE, values, {"f.csv": (3, 1)})
 
 
+JOIN_PROGRAM = 'a = read("a.csv")\nj = join(a, a)\ntrain(j)\ntest(a)\n'
+
+
+def test_enumerate_rejects_a_join(tmp_path, capsys):
+    # A join's row count depends on the values, so single-row flips of one
+    # assignment would compare frames of different shapes.
+    with pytest.raises(OracleError, match="^join is not enumerable$"):
+        enumerate_independence(parse_program(JOIN_PROGRAM), {3, 9}, {"a.csv": (2, 1)})
+    path = tmp_path / "join.dfl"
+    path.write_text(JOIN_PROGRAM)
+    assert main(["oracle", str(path), "--shape", "a.csv=2x1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: join is not enumerable\n"
+
+
 def test_enumerate_independence_verdicts():
     _, ind_bad, wit = enumerate_independence(NORMALIZE_FIRST, {3, 9},
                                              {"data.csv": (4, 1)})
@@ -301,11 +318,10 @@ def _outcome(run, p, inputs):
      "select index 5 out of range"),
     (Merge("z", "concat", "x", "y"), True, "concat needs identical column labels"),
     (Merge("z", "join", "x", "y"), True, "join needs a shared column label"),
-    (Merge("z", "join", "x", "x"), False, "join is not enumerable"),
     (Read("z", "c.csv"), True, "no input frame for file 'c.csv'"),
     (Phi("z", ("x", "y")), True, "construct not supported concretely: Phi"),
 ], ids=["unbound", "select-range", "concat-labels", "join-no-shared-label",
-        "join-not-allowed", "missing-input", "unsupported"])
+        "missing-input", "unsupported"])
 def test_step_error_leaves_env_unchanged(stmt, allow_join, message):
     env = {var: step({}, Read(var, f), STEP_INPUTS)
            for var, f in (("x", "a.csv"), ("y", "b.csv"))}
