@@ -14,7 +14,8 @@ to alter either rewrites the file with
 
     PYTHONPATH=src python tests/test_analysis_golden.py
 
-and the diff of the file names the notebooks whose analysis changed."""
+which prints each notebook whose analysis changed, with the digests that
+moved."""
 
 import hashlib
 import json
@@ -50,19 +51,29 @@ def analysis_digests(data: bytes) -> dict[str, str]:
     return {part: _digest(x) for part, x in analysis(data).items()}
 
 
-def test_analysis_is_unchanged():
+def changed_notebooks(now: dict[str, dict[str, str]]) -> list[str]:
+    """Each notebook whose digests in ``now`` differ from the pinned ones,
+    as ``name (parts)``."""
     pinned = json.loads(DIGESTS.read_text())
-    now = {name: analysis_digests(data) for name, data in notebooks().items()}
     changed = []
     for name in sorted(pinned.keys() | now.keys()):
         was, got = pinned.get(name, {}), now.get(name, {})
         parts = [p for p in sorted(was.keys() | got.keys()) if was.get(p) != got.get(p)]
         if parts:
             changed.append(f"{name} ({', '.join(parts)})")
+    return changed
+
+
+def test_analysis_is_unchanged():
+    now = {name: analysis_digests(data) for name, data in notebooks().items()}
+    changed = changed_notebooks(now)
     assert not changed, f"analysis changed: {'; '.join(changed)}"
 
 
 if __name__ == "__main__":
     digests = {name: analysis_digests(data) for name, data in notebooks().items()}
+    changed = changed_notebooks(digests)
     DIGESTS.write_text(json.dumps(digests, indent=0) + "\n")
-    print(f"{DIGESTS.name}: {len(digests)} notebooks")
+    for entry in changed:
+        print(f"changed: {entry}")
+    print(f"{DIGESTS.name}: {len(digests)} notebooks, {len(changed)} changed")

@@ -5,7 +5,7 @@ means to alter the IR rewrites the file with
 
     PYTHONPATH=src python tests/test_ir_golden.py
 
-and the diff of the file names the notebooks whose IR changed."""
+which prints each notebook whose IR changed."""
 
 import dataclasses
 import hashlib
@@ -53,15 +53,23 @@ def notebooks() -> dict[str, bytes]:
     return out
 
 
-def test_translated_ir_is_unchanged():
+def changed_notebooks(now: dict[str, str]) -> list[str]:
+    """The notebooks whose digest in ``now`` differs from the pinned one."""
     pinned = json.loads(DIGESTS.read_text())
+    return [name for name in sorted(pinned.keys() | now.keys())
+            if pinned.get(name) != now.get(name)]
+
+
+def test_translated_ir_is_unchanged():
     now = {name: ir_digest(data) for name, data in notebooks().items()}
-    changed = [name for name in sorted(pinned.keys() | now.keys())
-               if pinned.get(name) != now.get(name)]
+    changed = changed_notebooks(now)
     assert not changed, f"translated IR changed: {', '.join(changed)}"
 
 
 if __name__ == "__main__":
     digests = {name: ir_digest(data) for name, data in notebooks().items()}
+    changed = changed_notebooks(digests)
     DIGESTS.write_text(json.dumps(digests, indent=0) + "\n")
-    print(f"{DIGESTS.name}: {len(digests)} notebooks")
+    for name in changed:
+        print(f"changed: {name}")
+    print(f"{DIGESTS.name}: {len(digests)} notebooks, {len(changed)} changed")
