@@ -159,10 +159,12 @@ class RowInterval:
     hi: RowExpr
 
     def __post_init__(self):
-        if self.lo is None:
-            raise ValueError("lower bound is missing")
-        if self.hi is None:
-            raise ValueError("upper bound is missing")
+        if type(self.lo) is not RowExpr:
+            raise ValueError("lower bound is missing" if self.lo is None
+                             else f"lower bound {self.lo!r} is not a RowExpr")
+        if type(self.hi) is not RowExpr:
+            raise ValueError("upper bound is missing" if self.hi is None
+                             else f"upper bound {self.hi!r} is not a RowExpr")
         if self.lo.inf:
             raise ValueError("lower bound cannot be inf")
         if expr_le(self.lo, self.hi) is False:

@@ -93,6 +93,16 @@ def test_row_interval_names_a_missing_bound(lo, hi, missing):
         Select("y", "x", rows=RowInterval(lo, hi))
 
 
+@pytest.mark.parametrize("lo, hi, message", [
+    (0, 5, "lower bound 0 is not a RowExpr"),
+    (RowExpr.const(0), 5, "upper bound 5 is not a RowExpr"),
+    ("s", INF, "lower bound 's' is not a RowExpr"),
+])
+def test_row_interval_rejects_a_bound_that_is_no_row_expression(lo, hi, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        RowInterval(lo, hi)
+
+
 def test_syntax_error_carries_line():
     with pytest.raises(ParseError) as e:
         parse_program('a = read("f")\nb = ???')
