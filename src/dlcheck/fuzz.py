@@ -117,7 +117,7 @@ def generate_program(rng: random.Random):
                 cand = Apply(target, "scrub", src)
             else:
                 other = rng.choice(bound)
-                cand = Merge(target, "concat" if op == "concat" else "join", src, other)
+                cand = Merge(target, "concat" if op == "concat" else "join", (src, other))
             try:
                 b = step(env, cand, inputs)
             except OracleError:

@@ -184,10 +184,11 @@ def transfer(s: Statement, m: AbstractState) -> AbstractState:
         return m.bind(s.target, SourceAbs(frames, False, out_aligned))
 
     if isinstance(s, Merge):
-        left = _require(m, s.left, s.site)
-        right = _require(m, s.right, s.site)
-        value = SourceAbs(set_join(left.frames, right.frames), left.tainted or right.tainted)
-        return m.bind(s.target, value)
+        srcs = [_require(m, v, s.site) for v in s.sources]
+        frames = srcs[0].frames
+        for src in srcs[1:]:
+            frames = set_join(frames, src.frames)
+        return m.bind(s.target, SourceAbs(frames, any(src.tainted for src in srcs)))
 
     if isinstance(s, Apply):
         src = _require(m, s.source, s.site)
@@ -337,7 +338,7 @@ def run_program(statements, state: AbstractState = BOT_STATE, *, warnings: list,
             if kind is Select:
                 key = (id(s), state.env.get(s.source))
             elif kind is Merge:
-                key = (id(s), state.env.get(s.left), state.env.get(s.right))
+                key = (id(s), *map(state.env.get, s.sources))
             if key is not None:
                 hit = values.get(key)
                 if hit is not None:

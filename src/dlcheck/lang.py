@@ -1,7 +1,8 @@
 """AST, parser and pretty-printer for the small data-frame language.
 
 A program is a sequence of statements in single-assignment form: reads from
-named data files, row/column selections, binary merges (concat/join),
+named data files, row/column selections, merges of two or more frames
+(concat/join),
 unary functions (normalize or anything else, which is treated as a plain
 per-row transform), and train/test uses.  Row positions may be symbolic
 (an identifier plus an integer offset) so that data-dependent split points
@@ -204,15 +205,19 @@ class Select:
 
 @dataclass(frozen=True)
 class Merge:
+    """Two or more sources merged left to right: concat stacks their rows,
+    join matches them."""
+
     target: str
     op: str  # "concat" | "join"
-    left: str
-    right: str
+    sources: tuple[str, ...]
     site: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.op not in ("concat", "join"):
             raise ValueError(f"unknown merge op {self.op!r}")
+        if len(self.sources) < 2:
+            raise ValueError(f"a merge needs two or more sources, got {self.sources!r}")
 
 
 NORMALIZE = "normalize"
@@ -282,13 +287,11 @@ def stmt_target(s: Statement) -> str | None:
 def stmt_sources(s: Statement) -> tuple[str, ...]:
     if isinstance(s, Select):
         return (s.source,)
-    if isinstance(s, Merge):
-        return (s.left, s.right)
     if isinstance(s, Apply):
         return (s.source,)
     if isinstance(s, Use):
         return s.args
-    if isinstance(s, Phi):
+    if isinstance(s, (Merge, Phi)):
         return s.sources
     return ()
 
@@ -355,7 +358,8 @@ def used_vars(p: Program) -> tuple[frozenset[str], frozenset[str]]:
 
 _NAME = r"[A-Za-z_]\w*"
 _READ_RE = re.compile(rf'^({_NAME})\s*=\s*read\(\s*"([^"]*)"\s*\)\s*$')
-_MERGE_RE = re.compile(rf"^({_NAME})\s*=\s*(concat|join)\(\s*({_NAME})\s*,\s*({_NAME})\s*\)\s*$")
+_MERGE_RE = re.compile(
+    rf"^({_NAME})\s*=\s*(concat|join)\(\s*({_NAME}(?:\s*,\s*{_NAME})+)\s*\)\s*$")
 _APPLY_RE = re.compile(rf"^({_NAME})\s*=\s*({_NAME})\(\s*({_NAME})\s*\)\s*$")
 _USE_RE = re.compile(rf"^(train|test)\(\s*({_NAME}(?:\s*,\s*{_NAME})*)\s*\)\s*$")
 _ROWEXPR_RE = re.compile(rf"^\s*(?:(\d+)|inf|({_NAME})(?:\s*([+-])\s*(\d+))?)\s*$")
@@ -476,7 +480,8 @@ def parse_program(text: str) -> Program:
                 stmts.append(sel)
                 continue
         if (m := _MERGE_RE.match(line)):
-            stmts.append(Merge(m.group(1), m.group(2), m.group(3), m.group(4), site=site))
+            sources = tuple(a.strip() for a in m.group(3).split(","))
+            stmts.append(Merge(m.group(1), m.group(2), sources, site=site))
             continue
         if (m := _USE_RE.match(line)):
             args = tuple(a.strip() for a in m.group(2).split(","))
@@ -509,7 +514,7 @@ def stmt_text(s: Statement) -> str:
         cols = "" if s.cols is None else "{" + ", ".join(f'"{c}"' for c in sorted(s.cols)) + "}"
         return f"{s.target} = {s.source}.select[{rows}][{cols}]"
     if isinstance(s, Merge):
-        return f"{s.target} = {s.op}({s.left}, {s.right})"
+        return f"{s.target} = {s.op}({', '.join(s.sources)})"
     if isinstance(s, Apply):
         return f"{s.target} = {s.fn}({s.source})"
     if isinstance(s, Use):

@@ -493,8 +493,7 @@ class _Translator:
             dfs = [v for v in vals if v in self.df_vars]
             if not dfs:
                 return None
-            return self.chain(dfs, target, "arith" if binop else "pick",
-                              merge_last=True)
+            return self.chain(dfs, target, "arith" if binop else "pick")
 
         return None
 
@@ -569,25 +568,18 @@ class _Translator:
             return None
         if cls in ("merge_concat", "merge_join"):
             op = "concat" if cls == "merge_concat" else "join"
-            return self.chain(operands, target, fn, op, merge_last=True)
+            return self.chain(operands, target, fn, op)
         if cls == "normalize":
             return self.chain(operands[:1], target, "normalize")
         self.warn(f"unknown function {fn!r}; treating result as opaque transform")
         return self.chain(operands, target, "unknown")
 
-    def chain(self, operands: list[str], target, fn: str, op: str = "concat",
-              merge_last: bool = False) -> str:
-        """Merge the operands left to right with ``op`` into temporaries,
-        then bind the result to ``target`` (see ``define``): by
-        ``Apply(fn)`` on the merged frame, or, with ``merge_last`` and two or
-        more operands, by the last merge itself."""
-        last = operands[-1] if merge_last and len(operands) > 1 else None
-        src = operands[0]
-        for nxt in operands[1:-1] if last is not None else operands[1:]:
-            src = self.define(None, Merge, op, src, nxt)
-        if last is None:
-            return self.define(target, Apply, fn, src)
-        return self.define(target, Merge, op, src, last)
+    def chain(self, operands: list[str], target, fn: str, op: str = "concat") -> str:
+        """Bind ``target`` (see ``define``) to ``Apply(fn)`` on one operand,
+        or to one ``Merge`` of two or more operands with ``op``."""
+        if len(operands) == 1:
+            return self.define(target, Apply, fn, operands[0])
+        return self.define(target, Merge, op, tuple(operands))
 
     def inline_call(self, name: str, node: ast.Call, target=None) -> str | None:
         if name in self.inline_stack or len(self.inline_stack) >= _MAX_INLINE_DEPTH:

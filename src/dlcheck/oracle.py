@@ -127,8 +127,27 @@ def _get(env: dict[str, _Binding], name: str, site) -> _Binding:
     return env[name]
 
 
-def step(env: dict[str, _Binding], s, inputs: dict[str, ConcreteFrame],
-         allow_join: bool = True) -> _Binding | None:
+def _join(left: _Binding, right: _Binding) -> _Binding:
+    """Rows of ``left`` and ``right`` matched on their first shared label."""
+    shared = sorted(set(left.frame.labels) & set(right.frame.labels))
+    if not shared:
+        raise OracleError("join needs a shared column label")
+    key = shared[0]
+    li = left.frame.labels.index(key)
+    ri = right.frame.labels.index(key)
+    labels = left.frame.labels + tuple(c for c in right.frame.labels if c != key)
+    cells = []
+    deps = []
+    for r1, row1 in enumerate(left.frame.cells):
+        for r2, row2 in enumerate(right.frame.cells):
+            if row1[li] == row2[ri]:
+                rest = tuple(v for i, v in enumerate(row2) if i != ri)
+                cells.append(row1 + rest)
+                deps.append(left.deps[r1] | right.deps[r2])
+    return _Binding(ConcreteFrame(labels, tuple(cells)), deps)
+
+
+def step(env: dict[str, _Binding], s, inputs: dict[str, ConcreteFrame]) -> _Binding | None:
     """The binding statement ``s`` gives its target in ``env``, or ``None``
     for a ``Use`` (which only checks that its arguments are bound).
 
@@ -155,34 +174,17 @@ def step(env: dict[str, _Binding], s, inputs: dict[str, ConcreteFrame],
         cells = tuple(tuple(src.frame.cells[r][i] for i in keep) for r in idx)
         return _Binding(ConcreteFrame(labels, cells), [src.deps[r] for r in idx])
     if isinstance(s, Merge):
-        left = _get(env, s.left, s.site)
-        right = _get(env, s.right, s.site)
+        srcs = [_get(env, v, s.site) for v in s.sources]
         if s.op == "concat":
-            if left.frame.labels != right.frame.labels:
+            labels = srcs[0].frame.labels
+            if any(b.frame.labels != labels for b in srcs[1:]):
                 raise OracleError("concat needs identical column labels")
-            return _Binding(
-                ConcreteFrame(left.frame.labels, left.frame.cells + right.frame.cells),
-                left.deps + right.deps,
-            )
-        if not allow_join:
-            raise OracleError("join is not enumerable")
-        shared = sorted(set(left.frame.labels) & set(right.frame.labels))
-        if not shared:
-            raise OracleError("join needs a shared column label")
-        key = shared[0]
-        li = left.frame.labels.index(key)
-        ri = right.frame.labels.index(key)
-        labels = left.frame.labels + tuple(
-            c for c in right.frame.labels if c != key)
-        cells = []
-        deps = []
-        for r1, row1 in enumerate(left.frame.cells):
-            for r2, row2 in enumerate(right.frame.cells):
-                if row1[li] == row2[ri]:
-                    rest = tuple(v for i, v in enumerate(row2) if i != ri)
-                    cells.append(row1 + rest)
-                    deps.append(left.deps[r1] | right.deps[r2])
-        return _Binding(ConcreteFrame(labels, tuple(cells)), deps)
+            return _Binding(ConcreteFrame(labels, sum((b.frame.cells for b in srcs), ())),
+                            sum((b.deps for b in srcs), []))
+        out = srcs[0]
+        for b in srcs[1:]:
+            out = _join(out, b)
+        return out
     if isinstance(s, Apply):
         src = _get(env, s.source, s.site)
         if s.is_normalize:
@@ -196,12 +198,12 @@ def step(env: dict[str, _Binding], s, inputs: dict[str, ConcreteFrame],
     raise OracleError(f"construct not supported concretely: {type(s).__name__}")
 
 
-def _execute(p: Program, inputs: dict[str, ConcreteFrame], allow_join: bool = True):
+def _execute(p: Program, inputs: dict[str, ConcreteFrame]):
     """Run the program, returning its environment: each assigned variable's
     frame and per-row source cells."""
     env: dict[str, _Binding] = {}
     for s in p.statements:
-        b = step(env, s, inputs, allow_join)
+        b = step(env, s, inputs)
         if b is not None:
             env[s.target] = b
     return env
@@ -252,10 +254,6 @@ class TraceSet:
     test_vars: tuple[str, ...]
     entries: dict[InputKey, dict[str, tuple]]
 
-    def outputs(self, key: InputKey, vars_) -> tuple:
-        row = self.entries[key]
-        return tuple(row[v] for v in vars_)
-
 
 def _input_space(files, shapes, values):
     per_file = []
@@ -282,7 +280,8 @@ def enumerate_independence(
     Returns ``(trace_set, independent, witnesses)`` where each witness is a
     ``(input key, file, row)`` triple for which flipping that row changed
     both sides.  Raises ``OracleError`` when ``values`` holds fewer than two
-    distinct values.
+    distinct values, and for a program with a join: a join's row count
+    depends on the values, and a flip is compared row by row.
     """
     files = tuple(sorted(input_sources(p)))
     for f in files:
@@ -297,6 +296,8 @@ def enumerate_independence(
     if len(values) ** total_cells > budget:
         raise OracleError(
             f"{len(values)}^{total_cells} assignments exceed budget {budget}")
+    if any(isinstance(s, Merge) and s.op == "join" for s in p.statements):
+        raise OracleError("join is not enumerable")
     train_vars, test_vars = used_vars(p)
     train_vars = tuple(sorted(train_vars))
     test_vars = tuple(sorted(test_vars))
@@ -304,32 +305,16 @@ def enumerate_independence(
     entries: dict[InputKey, dict[str, tuple]] = {}
     for key in _input_space(files, shapes, values):
         inputs = {f: ConcreteFrame.of(cells) for f, cells in key}
-        env = _execute(p, inputs, allow_join=False)
+        env = _execute(p, inputs)
         entries[key] = {
             v: env[v].frame.cells for v in train_vars + test_vars
         }
     ts = TraceSet(files, dict(shapes), values, train_vars, test_vars, entries)
-
-    witnesses = []
-    for key in entries:
-        frames = dict(key)
-        for f in files:
-            nrows = shapes[f][0]
-            ncols = shapes[f][1]
-            for r in range(nrows):
-                current = frames[f][r]
-                unch_train = True
-                unch_test = True
-                for repl in itertools.product(values, repeat=ncols):
-                    if repl == current:
-                        continue
-                    other = _replace_row(key, f, r, repl)
-                    if ts.outputs(other, train_vars) != ts.outputs(key, train_vars):
-                        unch_train = False
-                    if ts.outputs(other, test_vars) != ts.outputs(key, test_vars):
-                        unch_test = False
-                if not (unch_train or unch_test):
-                    witnesses.append((key, f, r))
+    witnesses = [
+        (key, f, r) for key, f, r, changed in _flips(ts)
+        if any(o in train_vars for o, _ in changed)
+        and any(o in test_vars for o, _ in changed)
+    ]
     return ts, not witnesses, witnesses
 
 
@@ -345,17 +330,18 @@ def _replace_row(key: InputKey, file: str, row: int, repl) -> InputKey:
 Dependency = tuple[str, int, str, int]  # file, row, variable, row
 
 
-def alpha_dependencies(ts: TraceSet) -> frozenset[Dependency]:
-    """Row-level dependencies recovered from a complete trace table: file row
-    r feeds used variable o at row r' when some single-row flip changes
-    o[r']."""
+def _flips(ts: TraceSet):
+    """Every (input key, file, row) with the set of (used variable, row)
+    pairs that some single-row flip of that input row changes.  A used
+    variable has one shape under every join-free assignment, so a flip
+    changes its value exactly when it changes one of these rows."""
     vars_ = ts.train_vars + ts.test_vars
-    deps: set[Dependency] = set()
     for key, row in ts.entries.items():
         frames = dict(key)
         for f in ts.files:
             nrows, ncols = ts.shapes[f]
             for r in range(nrows):
+                changed = set()
                 for repl in itertools.product(ts.values, repeat=ncols):
                     if repl == frames[f][r]:
                         continue
@@ -364,8 +350,16 @@ def alpha_dependencies(ts: TraceSet) -> frozenset[Dependency]:
                         before, after = row[o], other[o]
                         for rp in range(len(before)):
                             if before[rp] != after[rp]:
-                                deps.add((f, r, o, rp))
-    return frozenset(deps)
+                                changed.add((o, rp))
+                yield key, f, r, changed
+
+
+def alpha_dependencies(ts: TraceSet) -> frozenset[Dependency]:
+    """Row-level dependencies recovered from a complete trace table: file row
+    r feeds used variable o at row r' when some single-row flip changes
+    o[r']."""
+    return frozenset((f, r, o, rp) for _, f, r, changed in _flips(ts)
+                     for o, rp in changed)
 
 
 def alpha_pointwise(deps) -> DependencyMap:

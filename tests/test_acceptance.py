@@ -346,7 +346,7 @@ def test_criterion_7_lattice_property_suite():
         Apply("y", "clean", "x"),
         Select("y", "x", rows=RowInterval(RowExpr.const(0), RowExpr.const(3))),
         Select("y", "x", cols=frozenset({"a"})),
-        Merge("y", "concat", "x", "x"),
+        Merge("y", "concat", ("x", "x")),
     ]
     for _ in range(4000):
         wide_val = _random_source(rng)

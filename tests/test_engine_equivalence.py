@@ -377,7 +377,8 @@ def test_alignment_and_both_merge_operands_key_the_value_cache():
 def test_rerun_concat_cell_makes_no_further_set_join(monkeypatch):
     """A three-cell windows notebook at K=5 with halt-on-finding off: the
     concat cell runs again on later branches with the inputs it had, so one
-    search joins once per distinct merge input."""
+    search folds each distinct merge input once: one join per source after
+    the first."""
     nb = load_notebook(notebook_bytes([
         f'{IMPORTS}\ndf = pd.read_csv("f.csv")',
         "w = pd.concat([df.iloc[0:10], df.iloc[20:30], df.iloc[30:45], df.iloc[60:70]])",
@@ -389,7 +390,7 @@ def test_rerun_concat_cell_makes_no_further_set_join(monkeypatch):
 
     def recorded(s, m):
         if isinstance(s, Merge):
-            inputs.add((id(s), m.env[s.left], m.env[s.right]))
+            inputs.add((id(s), *(m.env[v] for v in s.sources)))
         return transfer(s, m)
 
     set_join = interp.set_join
@@ -405,4 +406,7 @@ def test_rerun_concat_cell_makes_no_further_set_join(monkeypatch):
     reference_propagate(nb, 1, cfg, [], [])
     reference_calls, calls = calls, 0
     engine.propagate(nb, 1, cfg)
-    assert reference_calls > calls == len(inputs) == 3
+    # The key holds the statement and its sources' values: (sources - 1)
+    # joins per distinct input.
+    assert len(inputs) == 1
+    assert reference_calls > calls == sum(len(key) - 2 for key in inputs) == 3

@@ -97,7 +97,7 @@ def whole_prefix_generate_program(rng: random.Random):
                 cand = Apply(fresh(), "scrub", src)
             else:
                 other = rng.choice(bound)
-                cand = Merge(fresh(), "concat" if op == "concat" else "join", src, other)
+                cand = Merge(fresh(), "concat" if op == "concat" else "join", (src, other))
             try:
                 trial = stmts + [cand]
                 env = concrete_run(Program(tuple(trial)), inputs)

@@ -95,7 +95,7 @@ def test_select_after_merge_keeps_rows():
     position would drop real dependencies."""
     st = transfer(Read("a", "f"), BOT_STATE)
     st = transfer(Read("b", "f"), st)
-    st = transfer(Merge("c", "concat", "a", "b"), st)
+    st = transfer(Merge("c", "concat", ("a", "b")), st)
     st = transfer(Select("d", "c", rows=RowInterval(RowExpr.const(5), RowExpr.const(6))), st)
     assert st.env["d"].frames == st.env["c"].frames
 
@@ -128,7 +128,7 @@ def test_merge_joins_sources_and_taint():
     st = transfer(Read("a", "f"), BOT_STATE)
     st = transfer(Read("b", "g"), st)
     st = transfer(Apply("bn", "normalize", "b"), st)
-    st = transfer(Merge("m", "join", "a", "bn"), st)
+    st = transfer(Merge("m", "join", ("a", "bn")), st)
     assert st.env["m"].tainted
     assert st.env["m"].frames == frozenset({frame("f"), frame("g")})
 
@@ -255,7 +255,7 @@ def test_phi_single_bound_source():
 
 def test_loop_accumulates_to_fixpoint():
     # x grows by merging in y each iteration; the loop must reach x >= x0 | y
-    body = (Merge("x", "concat", "x", "y"),)
+    body = (Merge("x", "concat", ("x", "y")),)
     st = transfer(Read("x", "f"), BOT_STATE)
     st = transfer(Read("y", "g"), st)
     st = transfer(Select("x", "x", rows=RowInterval(RowExpr.const(0), RowExpr.const(3))), st)
@@ -281,7 +281,7 @@ def test_transfer_monotone_on_env_samples():
         Apply("y", "normalize", "x"),
         Apply("y", "clean", "x"),
         Select("y", "x", rows=RowInterval(RowExpr.const(0), RowExpr.const(1))),
-        Merge("y", "concat", "x", "x"),
+        Merge("y", "concat", ("x", "x")),
     ):
         a = transfer(stmt, narrow)
         b = transfer(stmt, wide)
@@ -459,3 +459,30 @@ def test_alignment_rules_match_the_aligned_set_reference():
         assert out == _ref_transfer(s, ra), s
         aligned_results += s.target in out[1]
     assert min(outcomes.values()) > 300 and aligned_results > 300
+
+
+@pytest.mark.parametrize("op", ["concat", "join"])
+def test_merge_of_many_sources_transfers_as_the_binary_chain(op):
+    """Frames, taint and alignment of one n-source merge equal those of the
+    binary chain it replaces."""
+    rng = random.Random(8)
+    pool = [
+        SourceAbs(set_reduce([frame(f, cols, lo, lo + n)]), tainted)
+        for f, cols, lo, n, tainted in (
+            ("f", None, 0, 9, False), ("f", None, 2, 4, False),
+            ("f", {"x"}, 0, 3, False), ("g", None, 0, 9, False),
+            ("f", None, 0, 9, True), ("f", None, 12, 3, False),
+            ("f", {"x", "y"}, 5, 2, False),
+        )
+    ] + [SourceAbs(set_reduce([frame("f", None, 0, 2), frame("f", None, 6, 8)]),
+                   False)]
+    for _ in range(500):
+        st = _state(**{v: _random_value(rng, pool) for v in ALIGN_VARS})
+        sources = tuple(rng.choice(ALIGN_VARS) for _ in range(rng.randint(2, 4)))
+        chain, prev = st, sources[0]
+        for i, v in enumerate(sources[1:]):
+            chain = transfer(Merge(f"_m{i}", op, (prev, v)), chain)
+            prev = f"_m{i}"
+        value = transfer(Merge("t", op, sources), st).env["t"]
+        assert value == chain.env[prev], sources
+        assert not value.aligned

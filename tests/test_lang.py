@@ -103,6 +103,18 @@ def test_row_interval_rejects_a_bound_that_is_no_row_expression(lo, hi, message)
         RowInterval(lo, hi)
 
 
+@pytest.mark.parametrize("sources", [(), ("a",)])
+def test_merge_needs_two_or_more_sources(sources):
+    with pytest.raises(ValueError, match="^a merge needs two or more sources"):
+        Merge("t", "concat", sources)
+
+
+def test_parse_and_print_a_merge_of_three():
+    p = parse_program('a = read("f")\nb = read("g")\nc = join(a, b , a)')
+    assert p.statements[2] == Merge("c", "join", ("a", "b", "a"))
+    assert program_text(p).splitlines()[2] == "c = join(a, b, a)"
+
+
 def test_syntax_error_carries_line():
     with pytest.raises(ParseError) as e:
         parse_program('a = read("f")\nb = ???')
@@ -188,9 +200,9 @@ def _programs(draw):
             src = draw(st.sampled_from(bound))
             kind = draw(st.integers(0, 2))
             if kind == 0 and len(bound) >= 2:
-                other = draw(st.sampled_from(bound))
+                others = draw(st.lists(st.sampled_from(bound), min_size=1, max_size=3))
                 stmts.append(Merge(target, draw(st.sampled_from(["concat", "join"])),
-                                   src, other))
+                                   (src, *others)))
             elif kind == 1:
                 rows = draw(st.one_of(
                     st.none(),

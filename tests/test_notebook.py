@@ -160,12 +160,12 @@ def test_fit_and_predict_become_uses():
 
 def test_concat_of_list_argument():
     cell = translate_cell("import pandas as pd\ndf = pd.concat([a, b])")
-    assert cell.statements == (Merge("df", "concat", "a", "b"),)
+    assert cell.statements == (Merge("df", "concat", ("a", "b")),)
 
 
 def test_merge_method_is_join():
     cell = translate_cell("z = a.merge(b, on='id')")
-    assert cell.statements == (Merge("z", "join", "a", "b"),)
+    assert cell.statements == (Merge("z", "join", ("a", "b")),)
 
 
 def test_unknown_function_warned_and_opaque():
@@ -203,13 +203,15 @@ READS = 'import pandas as pd\na = pd.read_csv("a.csv")\nb = pd.read_csv("b.csv")
 
 
 @pytest.mark.parametrize("line, expected", [
-    ("c = a + b", Merge("c", "concat", "a", "b")),
+    ("c = a + b", Merge("c", "concat", ("a", "b"))),
     ("c = a * 2", Apply("c", "arith", "a")),
-    ("c = a if q else b", Merge("c", "concat", "a", "b")),
+    ("c = a if q else b", Merge("c", "concat", ("a", "b"))),
     ("c = a if q else 0", Apply("c", "pick", "a")),
     ("c = a.values", Apply("c", "values", "a")),
     ("a.values", Apply("_t2", "values", "a")),
-    ("a += b", Merge("a'", "concat", "a", "b")),
+    ("a += b", Merge("a'", "concat", ("a", "b"))),
+    ("c = a.fillna(b)", Merge("c", "concat", ("a", "b"))),
+    ("c = pd.concat([a])", Apply("c", "concat", "a")),
 ])
 def test_expression_forms_lower_to_one_statement(line, expected):
     cell = translate_cell(READS + line)
@@ -218,11 +220,10 @@ def test_expression_forms_lower_to_one_statement(line, expected):
     assert cell.warnings == ()
 
 
-def test_concat_of_three_merges_through_a_temporary():
+def test_concat_of_three_is_one_merge():
     cell = translate_cell(READS + 'c = pd.read_csv("c.csv")\nd = pd.concat([a, b, c])')
-    assert cell.statements[3:] == (Merge("_t4", "concat", "a", "b"),
-                                   Merge("d", "concat", "_t4", "c"))
-    assert [s.site for s in cell.statements[3:]] == ["cell 1[3]", "cell 1[4]"]
+    assert cell.statements[3:] == (Merge("d", "concat", ("a", "b", "c")),)
+    assert [s.site for s in cell.statements[3:]] == ["cell 1[3]"]
     assert dict(cell.exports)["d"] == "d"
 
 
@@ -392,7 +393,7 @@ def _random_statements(rng, depth: int) -> tuple:
         elif roll == 1:
             out.append(Select(t, x))
         elif roll == 2:
-            out.append(Merge(t, "concat", x, y))
+            out.append(Merge(t, "concat", (x, y)))
         elif roll == 3:
             out.append(Apply(t, rng.choice(("normalize", "dropna")), x))
         elif roll == 4:
@@ -546,7 +547,7 @@ def test_imports_visible_across_cells():
         "import pandas as pd",
         "df = pd.concat([a, b])",
     ]))
-    assert nb.cells[1].statements == (Merge("df", "concat", "a", "b"),)
+    assert nb.cells[1].statements == (Merge("df", "concat", ("a", "b")),)
     assert "pd" not in nb.cells[1].precondition
 
 

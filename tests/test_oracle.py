@@ -190,6 +190,22 @@ def test_enumerate_rejects_a_join(tmp_path, capsys):
     assert out.err == "error: join is not enumerable\n"
 
 
+def test_enumerate_checks_shapes_values_and_budget_before_the_join():
+    p = parse_program(JOIN_PROGRAM)
+    with pytest.raises(OracleError, match="no shape declared"):
+        enumerate_independence(p, {3, 9}, {})
+    with pytest.raises(OracleError, match="at least two distinct values"):
+        enumerate_independence(p, {3}, {"a.csv": (2, 1)})
+    with pytest.raises(OracleError, match="exceed budget"):
+        enumerate_independence(p, {3, 9}, {"a.csv": (20, 1)}, budget=100)
+    # The join is reported before any statement runs, so a select that
+    # fails on every assignment before it is never reached.
+    late = parse_program('a = read("a.csv")\nb = a.select[[5]][]\nj = join(b, a)\n'
+                         'train(j)\ntest(a)\n')
+    with pytest.raises(OracleError, match="^join is not enumerable$"):
+        enumerate_independence(late, {3, 9}, {"a.csv": (2, 1)})
+
+
 def test_enumerate_independence_verdicts():
     _, ind_bad, wit = enumerate_independence(NORMALIZE_FIRST, {3, 9},
                                              {"data.csv": (4, 1)})
@@ -312,23 +328,64 @@ def _outcome(run, p, inputs):
         return f"OracleError: {e}"
 
 
-@pytest.mark.parametrize("stmt, allow_join, message", [
-    (Select("z", "nope"), True, "unbound variable 'nope'"),
-    (Select("z", "x", rows=RowList((RowExpr.const(5),))), True,
+@pytest.mark.parametrize("stmt, message", [
+    (Select("z", "nope"), "unbound variable 'nope'"),
+    (Select("z", "x", rows=RowList((RowExpr.const(5),))),
      "select index 5 out of range"),
-    (Merge("z", "concat", "x", "y"), True, "concat needs identical column labels"),
-    (Merge("z", "join", "x", "y"), True, "join needs a shared column label"),
-    (Read("z", "c.csv"), True, "no input frame for file 'c.csv'"),
-    (Phi("z", ("x", "y")), True, "construct not supported concretely: Phi"),
+    (Merge("z", "concat", ("x", "y")), "concat needs identical column labels"),
+    (Merge("z", "join", ("x", "y")), "join needs a shared column label"),
+    (Read("z", "c.csv"), "no input frame for file 'c.csv'"),
+    (Phi("z", ("x", "y")), "construct not supported concretely: Phi"),
 ], ids=["unbound", "select-range", "concat-labels", "join-no-shared-label",
         "missing-input", "unsupported"])
-def test_step_error_leaves_env_unchanged(stmt, allow_join, message):
+def test_step_error_leaves_env_unchanged(stmt, message):
     env = {var: step({}, Read(var, f), STEP_INPUTS)
            for var, f in (("x", "a.csv"), ("y", "b.csv"))}
     before = copy.deepcopy(env)
     with pytest.raises(OracleError, match=message):
-        step(env, stmt, STEP_INPUTS, allow_join)
+        step(env, stmt, STEP_INPUTS)
     assert env == before
+
+
+def _chain_binding(env, op, sources):
+    """The binding the chain of binary merges over ``sources`` gives its
+    last temporary."""
+    env = dict(env)
+    prev = sources[0]
+    for i, v in enumerate(sources[1:]):
+        env[f"_m{i}"] = step(env, Merge(f"_m{i}", op, (prev, v)), {})
+        prev = f"_m{i}"
+    return env[prev]
+
+
+@pytest.mark.parametrize("op", ["concat", "join"])
+def test_merge_of_many_sources_steps_as_the_binary_chain(op):
+    """Labels, cells and per-row dependencies of one n-source merge equal
+    those of the binary chain it replaces, and so does any error."""
+    rng = random.Random(17)
+    bound = 0
+    for _ in range(400):
+        inputs = {
+            f"f{i}.csv": ConcreteFrame.of(
+                [[rng.choice((3, 9)) for _ in labels] for _ in range(rng.randint(0, 3))],
+                labels=labels)
+            for i, labels in enumerate(rng.choice([("k",), ("k",), ("k", "u")])
+                                       for _ in range(4))
+        }
+        env = {f"x{i}": step({}, Read(f"x{i}", f), inputs)
+               for i, f in enumerate(inputs)}
+        sources = tuple(rng.choice(list(env)) for _ in range(rng.randint(2, 4)))
+        outcomes = []
+        for run in (lambda: step(env, Merge("t", op, sources), inputs),
+                    lambda: _chain_binding(env, op, sources)):
+            try:
+                b = run()
+                outcomes.append((b.frame.labels, b.frame.cells, b.deps))
+            except OracleError as e:
+                outcomes.append(str(e))
+        assert outcomes[0] == outcomes[1], sources
+        bound += not isinstance(outcomes[0], str)
+    assert bound > 150
 
 
 def test_concrete_run_is_a_fold_of_step():
