@@ -2,11 +2,10 @@
 
 A program is a sequence of statements in single-assignment form: reads from
 named data files, row/column selections, merges of two or more frames
-(concat/join),
-unary functions (normalize or anything else, which is treated as a plain
-per-row transform), and train/test uses.  Row positions may be symbolic
-(an identifier plus an integer offset) so that data-dependent split points
-like ``split+1`` stay representable.
+(concat/join, folded left to right), unary functions (normalize or anything
+else, which is treated as a plain per-row transform), and train/test uses.
+Row positions may be symbolic (an identifier plus an integer offset) so that
+data-dependent split points like ``split+1`` stay representable.
 
 The text format is line oriented (one statement per line, ``#`` comments);
 the grammar is documented in docs/dfl.md.  A program is straight-line.
