@@ -269,6 +269,24 @@ def test_alias_of_a_non_frame_is_not_a_frame():
     assert cell.warnings == ()
 
 
+def test_a_local_frame_shadows_an_import_alias():
+    cell = translate_cell("import pandas as pd\npd = df.dropna()\nz = pd.head()")
+    assert cell.statements == (Apply("pd", "dropna", "df"), Apply("z", "head", "pd"))
+    assert cell.warnings == ()
+
+
+def test_a_non_frame_assignment_takes_a_version_number():
+    cell = translate_cell("m = LogisticRegression()\nm = df.dropna()")
+    assert cell.statements == (Apply("m'", "dropna", "df"),)
+    assert dict(cell.exports) == {"m": "m'", "df": "df"}
+
+
+def test_if_with_one_non_frame_arm_joins_the_frame_arm_alone():
+    cell = translate_cell("if c:\n    x = 5\nelse:\n    x = df.dropna()")
+    assert cell.statements[-1] == Phi("x''", ("x'",))
+    assert dict(cell.exports)["x"] == "x''"
+
+
 def test_annotated_assignment_with_a_value_binds_it():
     cell = translate_cell(READS + "c: pd.DataFrame = a.dropna()")
     assert cell.statements[2:] == (Apply("c", "dropna", "a"),)
