@@ -9,7 +9,8 @@ mirrors how lightweight notebook linters behave and is a known false
 positive source (two libraries sharing a method name).
 
 Assignments are renamed to single-assignment form (x, x', x''); the latest
-version of each user variable is exported for inter-cell propagation.
+version of each user variable that holds a frame is exported for inter-cell
+propagation.
 If/else bodies become alternative arms merged by the analyzer; for/while
 bodies become fixpoint-iterated loop nodes, inside which renaming is
 suspended so a later iteration reads the previous one's bindings.
@@ -251,33 +252,37 @@ def _cell_facts(statements, exports, precondition=None):
 _MAX_INLINE_DEPTH = 8
 
 
-def _record_import(node: ast.Import | ast.ImportFrom, mods: dict[str, str],
-                  froms: dict[str, tuple[str, str]]):
-    """Record an import's aliases: module aliases in ``mods``, and each name
-    bound by ``from m import f`` in ``froms`` as ``(m, f)``."""
+def _record_import(node: ast.Import | ast.ImportFrom, imports: dict[str, str]):
+    """Record in ``imports`` the dotted path of each name the import binds,
+    as Python binds it: ``import a.b`` binds ``a`` to ``a``, ``import a.b
+    as c`` binds ``c`` to ``a.b``, and ``from m import f`` binds ``f`` to
+    ``m.f``."""
     if isinstance(node, ast.Import):
         for alias in node.names:
-            mods[alias.asname or alias.name.split(".")[0]] = alias.name
+            name = alias.asname or alias.name.partition(".")[0]
+            imports[name] = alias.name if alias.asname else name
     else:
         for alias in node.names:
-            froms[alias.asname or alias.name] = (node.module or "", alias.name)
+            imports[alias.asname or alias.name] = f"{node.module or ''}.{alias.name}"
 
 
 class _Translator:
+    """Translates one cell.  Each scope (the cell, an inlined call) has three
+    name maps: ``cur`` binds each name the scope assigns to its frame's
+    renamed name, or to None when it holds no frame; ``defs`` holds the
+    function definitions and ``imports`` each imported name's dotted path."""
+
     def __init__(self, kb: KnowledgeBase, defs, cell_id: int, imports):
         self.kb = kb
         # The caller's definition and import maps are shared: a definition
         # or an import in the cell replaces its map with an updated copy.
         self.defs = defs
+        self.imports: dict[str, str] = imports
         self.cell_id = cell_id
         self.stmts: list[Statement] = []
         self.warnings: list[str] = []
-        self.cur: dict[str, str] = {}          # user name -> current renamed name
+        self.cur: dict[str, str | None] = {}   # user name -> frame's renamed name
         self.versions: dict[str, int] = {}     # user name -> next version number
-        self.df_vars: set[str] = set()         # renamed names known to hold frames
-        # Aliases from earlier cells carry over; notebooks import once up top.
-        self.mod_aliases: dict[str, str] = imports[0]
-        self.from_imports: dict[str, tuple[str, str]] = imports[1]
         self.bound_syms: dict[str, str] = {}   # expression text -> symbol name
         self.temps = 0
         self.symbols = 0
@@ -301,8 +306,8 @@ class _Translator:
     def assign_name(self, base: str, env: dict[str, str]) -> str:
         """The next renamed name of ``base``, made its binding in ``env``
         (the current names of the scope the assignment is in)."""
-        if self.loop_depth and base in env:
-            return env[base]  # rebind in place inside loops
+        if self.loop_depth and env.get(base) is not None:
+            return env[base]  # rebind a frame in place inside loops
         v = self.versions.get(base, 0)
         self.versions[base] = v + 1
         name = base + "'" * v
@@ -323,7 +328,6 @@ class _Translator:
         the bound name.  The version is taken here, after the operands are
         translated, so that ``x = f(x)`` reads the previous one."""
         out = self.fresh_temp() if target is None else self.assign_name(*target)
-        self.df_vars.add(out)
         # ``emit``, inlined: most statements a cell emits come through here.
         self.stmts.append(
             stmt(out, *args, site=f"cell {self.cell_id}[{self.site_idx}]", **kwargs))
@@ -332,32 +336,30 @@ class _Translator:
 
     # -- helpers ------------------------------------------------------------
 
-    def resolve_module(self, node) -> str | None:
-        """The module path ``node`` names: an imported module alias that no
-        variable of the cell shadows, or an attribute of such a path."""
+    def resolve(self, node) -> str | None:
+        """The dotted path ``node`` names: an imported name that no variable
+        of the scope shadows, or an attribute of such a path."""
         kind = type(node)
         if kind is ast.Name:
-            return None if node.id in self.cur else self.mod_aliases.get(node.id)
+            return None if node.id in self.cur else self.imports.get(node.id)
         if kind is ast.Attribute:
-            mod = self.resolve_module(node.value)
-            return None if mod is None else f"{mod}.{node.attr}"
+            path = self.resolve(node.value)
+            return None if path is None else f"{path}.{node.attr}"
         return None
 
     def callee(self, func) -> tuple[str | None, str | None, ast.expr | None]:
         """(function name, knowledge-base namespace, receiver) of a call's
-        ``func``.  The namespace is the module path of ``m.f`` or of
-        ``from m import f``, "df" for a method of any other receiver, and
-        None for a bare name; the name is None when ``func`` is no name."""
-        kind = type(func)
-        if kind is ast.Attribute:
-            mod = self.resolve_module(func.value)
-            if mod is not None:
-                return func.attr, mod, None
+        ``func``.  The namespace is the module part of an imported path
+        (``m.f``, ``from m import f``), "df" for a method of any other
+        receiver, and None for a bare name; the name is None when ``func``
+        is no name."""
+        path = self.resolve(func)
+        if path is not None:
+            ns, _, fn = path.rpartition(".")
+            return fn, ns, None
+        if type(func) is ast.Attribute:
             return func.attr, "df", func.value
-        if kind is ast.Name:
-            imported = self.from_imports.get(func.id)
-            if imported is not None:
-                return imported[1], imported[0], None
+        if type(func) is ast.Name:
             return func.id, None, None
         return None, None, None
 
@@ -371,7 +373,7 @@ class _Translator:
         for a in args:
             if type(a) is not ast.Constant:
                 v = self.eval_expr(a, allow_unbound_df=True)
-                if v in self.df_vars:
+                if v is not None:
                     out.append(v)
         return out
 
@@ -453,16 +455,14 @@ class _Translator:
         statement binds."""
         kind = type(node)
         if kind is ast.Name:
-            name = self.cur.get(node.id)
-            if name is not None or not allow_unbound_df:
-                return name
+            name = node.id
+            if name in self.cur or not allow_unbound_df:
+                return self.cur.get(name)
             # Unbound: the user name itself becomes the current binding (it
             # will resolve against an earlier cell) and is reserved so that a
             # later assignment in this cell gets a fresh version.
-            name = node.id
             self.versions.setdefault(name, 1)
             self.cur[name] = name
-            self.df_vars.add(name)
             return name
 
         if kind is ast.Call:
@@ -475,11 +475,11 @@ class _Translator:
             # df.values, df.T and friends: per-row views of the same data.
             # Only known frame accessors may pull in an unbound receiver;
             # arbitrary attribute reads would turn models into frames.
-            if self.resolve_module(node) is not None:
+            if self.resolve(node) is not None:
                 return None
             known = self.kb.lookup("df", node.attr)[1] == "df"
             recv = self.eval_expr(node.value, allow_unbound_df=known)
-            if recv in self.df_vars:
+            if recv is not None:
                 return self.define(target, Apply, node.attr, recv)
             return None
 
@@ -490,7 +490,7 @@ class _Translator:
             parts = (node.left, node.right) if binop else (node.body, node.orelse)
             vals = [self.eval_expr(p, allow_unbound_df=allow_unbound_df)
                     for p in parts]
-            dfs = [v for v in vals if v in self.df_vars]
+            dfs = [v for v in vals if v is not None]
             if not dfs:
                 return None
             return self.chain(dfs, target, "arith" if binop else "pick")
@@ -504,7 +504,7 @@ class _Translator:
             accessor = base.attr
             base = base.value
         recv = self.eval_expr(base, allow_unbound_df=True)
-        if recv not in self.df_vars:
+        if recv is None:
             return None
         if self.kb.lookup("df", accessor)[0] != "select":
             return self.define(target, Apply, accessor, recv)
@@ -526,11 +526,8 @@ class _Translator:
         # when the knowledge base declares the method on frames; receivers of
         # name-only matches (fit, predict, transform, ...) are models and
         # scalers, never data.
-        recv_df = None
-        if recv_node is not None:
-            recv = self.eval_expr(recv_node, allow_unbound_df=(matched_ns == "df"))
-            if recv in self.df_vars:
-                recv_df = recv
+        recv_df = None if recv_node is None else self.eval_expr(
+            recv_node, allow_unbound_df=(matched_ns == "df"))
 
         if cls == "source":
             file = None
@@ -591,15 +588,22 @@ class _Translator:
             operands = self.df_args(node)
             return self.chain(operands[:1], target, "unknown") if operands else None
         fdef = self.defs[name]
-        arg_vals = [self.eval_expr(a, allow_unbound_df=True) for a in node.args]
+        params = fdef.args
+        positional = params.posonlyargs + params.args
+        # Every parameter is local to the call: it holds the frame of its
+        # positional or keyword argument, and no frame otherwise.
+        scope = dict.fromkeys(p.arg for p in (
+            *positional, params.vararg, *params.kwonlyargs, params.kwarg) if p)
+        for p, a in zip(positional, node.args):
+            scope[p.arg] = self.eval_expr(a, allow_unbound_df=True)
+        for k in node.keywords:
+            if k.arg in scope:
+                scope[k.arg] = self.eval_expr(k.value, allow_unbound_df=True)
         # A definition or an import in the body is local to the call: it
         # replaces the maps, which are put back after the call.
-        saved = (self.cur, self.defs, self.mod_aliases, self.from_imports)
+        saved = (self.cur, self.defs, self.imports)
         self.inline_stack.append(name)
-        self.cur = {}
-        for p, v in zip(fdef.args.args, arg_vals):
-            if v is not None:
-                self.cur[p.arg] = v
+        self.cur = scope
         result = None
         for stmt in fdef.body:
             if type(stmt) is ast.Return:
@@ -608,7 +612,7 @@ class _Translator:
                 break
             self.translate_stmt(stmt)
         self.inline_stack.pop()
-        self.cur, self.defs, self.mod_aliases, self.from_imports = saved
+        self.cur, self.defs, self.imports = saved
         return result
 
     # -- statements -----------------------------------------------------------
@@ -627,9 +631,8 @@ class _Translator:
             return
 
         if kind is ast.Import or kind is ast.ImportFrom:
-            self.mod_aliases = dict(self.mod_aliases)
-            self.from_imports = dict(self.from_imports)
-            _record_import(node, self.mod_aliases, self.from_imports)
+            self.imports = dict(self.imports)
+            _record_import(node, self.imports)
             return
 
         if kind is ast.FunctionDef:
@@ -685,28 +688,21 @@ class _Translator:
             return
 
         base = first.id
-        if type(value) is ast.Name:
-            # Pure alias: point the user name at the existing binding.
-            v = self.eval_expr(value, allow_unbound_df=True)
-            if v in self.df_vars:
-                self.cur[base] = v
-            else:
-                self.assign_name(base, self.cur)
-            return
-
         # The right side is translated before ``base`` is rebound, so that
         # self-references (x = scale(x)) read the previous version; the
         # statement binding its value takes the new one (see ``define``).
-        # An assignment takes one temporary number of its own (the IR's
-        # temporaries are numbered so).
-        self.temps += 1
-        out = self.eval_expr(value, (base, self.cur))
+        # A bare name is an alias of its binding, which may be a frame of
+        # an earlier cell.  Any other assignment takes one temporary number
+        # of its own (the IR's temporaries are numbered so).
+        alias = type(value) is ast.Name
+        if not alias:
+            self.temps += 1
+        out = self.eval_expr(value, (base, self.cur), allow_unbound_df=alias)
         if out is None:
-            # Non-frame value (models, scalars): the binding exists but does
-            # not participate in the analysis.
-            self.df_vars.discard(self.assign_name(base, self.cur))
-        else:
-            self.cur[base] = out
+            # Non-frame value (models, scalars): the name takes a version
+            # but holds no frame.
+            self.assign_name(base, self.cur)
+        self.cur[base] = out
 
     def translate_split(self, target_tuple: ast.Tuple, value) -> bool:
         """Lower ``a, b[, c, d] = train_test_split(...)`` into complementary
@@ -754,20 +750,18 @@ class _Translator:
         arm_b, env_b = run_arm(node.orelse)
         self.cur = dict(snapshot)
         self.emit(Branch, (arm_a, arm_b))
-        changed = {b for b in set(env_a) | set(env_b)
-                   if env_a.get(b) != snapshot.get(b) or env_b.get(b) != snapshot.get(b)}
+        # A name an arm binds, to a frame or to None, that the cell did not
+        # bind before, or bound otherwise.
+        changed = {b for env in (env_a, env_b) for b, v in env.items()
+                   if b not in snapshot or v != snapshot[b]}
         for base in sorted(changed):
-            versions = []
-            for env in (env_a, env_b):
-                v = env.get(base, snapshot.get(base))
-                if v is not None and v not in versions:
-                    versions.append(v)
-            # An arm binds ``base``, so ``versions`` is not empty.
-            frames = tuple(v for v in versions if v in self.df_vars)
+            frames = tuple(dict.fromkeys(
+                v for env in (env_a, env_b)
+                if (v := env.get(base, snapshot.get(base))) is not None))
             if frames:
                 self.define((base, self.cur), Phi, frames)
             else:
-                self.cur[base] = versions[0]
+                self.cur[base] = None
 
     def translate_loop(self, node):
         self.loop_depth += 1
@@ -792,23 +786,24 @@ def _parse_cell(source: str) -> ast.Module | SyntaxError:
 def translate_cell(source: str, kb: KnowledgeBase | None = None,
                    defs=None, cell_id: int = 1, imports=None,
                    tree: ast.Module | SyntaxError | None = None) -> CellIR:
-    """Translate one cell's Python source into analyzer statements.  ``tree``
-    is the source's syntax tree, or its ``SyntaxError``, when the caller has
-    already parsed it."""
+    """Translate one cell's Python source into analyzer statements, with the
+    function definitions ``defs`` and the import map ``imports`` (each name
+    to its dotted path) in scope.  ``tree`` is the source's syntax tree, or
+    its ``SyntaxError``, when the caller has already parsed it."""
     if tree is None:
         tree = _parse_cell(source)
     if isinstance(tree, SyntaxError):
         where = f" (line {tree.lineno})" if tree.lineno else ""
         return CellIR(cell_id, source, (), frozenset(), (),
                       (f"syntax error: {tree.msg}{where}",))
-    t = _Translator(kb or default_kb(), defs or {}, cell_id, imports or ({}, {}))
+    t = _Translator(kb or default_kb(), defs or {}, cell_id, imports or {})
     try:
         statements = t.translate_body(tree.body)
     except RecursionError:
         # Dropping a cell Python can run would be unsound.
         raise NotebookError(
             f"cell {cell_id}: expression nested too deeply to translate") from None
-    exports = tuple([item for item in t.cur.items() if item[1] in t.df_vars])
+    exports = tuple([item for item in t.cur.items() if item[1] is not None])
     precondition, facts = _cell_facts(statements, exports)
     return CellIR(cell_id, source, statements, precondition, exports,
                   tuple(t.warnings), facts)
@@ -878,29 +873,28 @@ def _statements(tree: ast.Module) -> list[ast.AST]:
 def load_notebook(data: bytes, kb: KnowledgeBase | None = None) -> Notebook:
     """Parse an .ipynb document and translate its code cells in order.
 
-    Each cell sees the import aliases of the cells before it, and the
-    function definitions of those cells and its own, that bind a name in
-    the module's scope: at any depth of compound statements, but not inside
-    a function or class body.
+    Each cell sees the imports of the cells before it, and the function
+    definitions of those cells and its own, that bind a name in the
+    module's scope: at any depth of compound statements, but not inside a
+    function or class body.
     """
     kb = kb or default_kb()
     defs: dict[str, ast.FunctionDef] = {}
-    mods: dict[str, str] = {}
-    froms: dict[str, tuple[str, str]] = {}
+    imports: dict[str, str] = {}
     cells = []
     for i, src in enumerate(_code_cells(data), start=1):
         tree = _parse_cell(src)
-        # The cell translates with the import maps of the cells before it,
-        # so its own imports go into copies.
-        imports = (mods, froms)
+        # The cell translates with the import map of the cells before it,
+        # so its own imports go into a copy.
+        before = imports
         if not isinstance(tree, SyntaxError):
             for node in _statements(tree):
                 kind = type(node)
                 if kind is ast.FunctionDef:
                     defs[node.name] = node
                 elif kind is ast.Import or kind is ast.ImportFrom:
-                    if mods is imports[0]:
-                        mods, froms = dict(mods), dict(froms)
-                    _record_import(node, mods, froms)
-        cells.append(translate_cell(src, kb, defs, i, imports, tree))
+                    if imports is before:
+                        imports = dict(imports)
+                    _record_import(node, imports)
+        cells.append(translate_cell(src, kb, defs, i, before, tree))
     return Notebook(tuple(cells))

@@ -232,8 +232,11 @@ def score_corpus(directory, labels_path, cfg: PropagationConfig | None = None,
     for a notebook, and a ``.ipynb`` in the directory with no entry, are
     error rows, not scored."""
     directory = Path(directory)
-    with open(labels_path, encoding="utf-8") as fh:
-        labels = json.load(fh)
+    try:
+        with open(labels_path, encoding="utf-8") as fh:
+            labels = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise ValueError(f"labels {labels_path}: {e}") from None
     _check_labels(labels)
     summary = CorpusSummary()
     labeled = set()

@@ -67,3 +67,22 @@ def test_every_module_level_import_is_used():
                 if name not in named:
                     unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+def test_every_instance_attribute_is_read():
+    """Every ``self.NAME`` the package assigns (plain, annotated or
+    augmented) is read as ``.NAME`` somewhere in ``src/``, ``tests/`` or
+    ``perfbench/``; an attribute nothing reads is dead state."""
+    read, assigned = set(), {}
+    for d in ("src", "tests", "perfbench"):
+        for path in sorted((ROOT / d).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.Attribute):
+                    continue
+                if isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+                elif path.is_relative_to(PACKAGE) and isinstance(node.value, ast.Name) \
+                        and node.value.id == "self":
+                    assigned.setdefault(node.attr, f"{path.name}:{node.lineno}")
+    assert sorted(f"{where} self.{name}" for name, where in assigned.items()
+                  if name not in read) == []

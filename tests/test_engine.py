@@ -324,6 +324,44 @@ def test_scalar_argument_from_an_earlier_cell_does_not_gate_the_cell():
     ]) == [(("taint", "tr", "te"), (1, 2))]
 
 
+READ_TR_TE = ('import pandas as pd\ndf = pd.read_csv("f.csv")\n'
+              "tr = df.iloc[0:50]\nte = df.iloc[40:60]")
+
+
+def test_fit_and_predict_on_frames_of_an_earlier_cell():
+    assert _keys_and_traces([READ_TR_TE, "m.fit(tr)\nm.predict(te)"]) == [
+        (("overlap", "tr", "te"), (1, 2))]
+
+
+@pytest.mark.xfail(strict=True, reason="a for target is never bound, so d "
+                   "joins the precondition and the cell never runs")
+def test_a_loop_target_does_not_gate_its_cell():
+    assert _keys_and_traces([
+        READ_TR_TE,
+        "for d in [tr, te]:\n    d.fillna(0)\nm.fit(tr)\nm.predict(te)",
+    ]) == [(("overlap", "tr", "te"), (1, 2))]
+
+
+HALF_AND_THIRD = ["tr = df.iloc[:len(df) // 2]",
+                  "te = df.iloc[len(df) // 3 + 1:]\nm.fit(tr)\nm.predict(te)"]
+
+
+def test_fresh_row_symbols_of_one_cell_are_distinct():
+    assert _keys_and_traces([
+        'import pandas as pd\ndf = pd.read_csv("f.csv")',
+        "\n".join(HALF_AND_THIRD),
+    ]) == [(("overlap", "tr", "te"), (1, 2))]
+
+
+@pytest.mark.xfail(strict=True, reason="fresh row symbols are numbered per "
+                   "cell, so both cells' bounds are _s0 and the windows look "
+                   "disjoint")
+def test_fresh_row_symbols_of_two_cells_are_distinct():
+    assert _keys_and_traces([
+        'import pandas as pd\ndf = pd.read_csv("f.csv")', *HALF_AND_THIRD,
+    ]) == [(("overlap", "tr", "te"), (1, 2, 3))]
+
+
 def test_siblings_that_feed_no_use_are_not_searched(monkeypatch):
     """One read, six siblings that only read it, and an evaluation cell on
     one sibling, at K=5.  The siblings re-export ``df`` unchanged, which

@@ -911,7 +911,13 @@ def test_kb_loads_from_custom_path(tmp_path):
 @pytest.mark.parametrize("imports, split", [
     ("from sklearn.model_selection import train_test_split", "train_test_split"),
     ("import sklearn.model_selection as ms", "ms.train_test_split"),
-], ids=["from-import", "module-alias"])
+    ("import sklearn.model_selection", "sklearn.model_selection.train_test_split"),
+    ("import sklearn.model_selection\nimport sklearn.preprocessing",
+     "sklearn.model_selection.train_test_split"),
+    ("from sklearn import model_selection", "model_selection.train_test_split"),
+    ("from sklearn import model_selection as ms", "ms.train_test_split"),
+], ids=["from-import", "module-alias", "dotted-import", "two-dotted-imports",
+        "from-import-of-a-module", "from-import-of-a-module-alias"])
 def test_split_is_looked_up_in_its_module_namespace(imports, split):
     """A knowledge base that lists the splitter under its module only still
     splits a tuple assignment: a split's callee resolves as a call's does."""
@@ -925,6 +931,45 @@ def test_split_is_looked_up_in_its_module_namespace(imports, split):
     assert nb.cells[1].warnings == ()
     assert [r.finding.key for r in analyze_notebook(nb).findings] == [
         ("taint", "tr", "te")]
+
+
+def test_a_dotted_import_binds_its_top_level_package():
+    """``import a.b`` binds ``a`` to the package ``a``, so ``a.b.f`` is
+    looked up as ``f`` in ``a.b``."""
+    cell = translate_cell(
+        "import sklearn.preprocessing\nX = sklearn.preprocessing.Normalizer(df)")
+    assert cell.statements == (Apply("X", "Normalizer", "df"),)
+    assert cell.warnings == ()
+
+
+@pytest.mark.parametrize("definition, call", [
+    ("def prep(d, k):\n    return d.head(k)", "prep(df, 5)"),
+    ("def prep(d, k=5):\n    return d.head(k)", "prep(df)"),
+    ("def prep(d):\n    return d.dropna()", "prep(d=df)"),
+], ids=["constant-argument", "default", "keyword-argument"])
+def test_every_parameter_of_an_inlined_call_is_local_to_it(definition, call):
+    """A parameter whose argument is a constant or a default holds no frame,
+    and one passed by keyword holds its argument's frame: neither gates
+    the cell on a name of an earlier cell."""
+    nb = load_notebook(notebook_bytes([
+        'df = pd.read_csv("f.csv")',
+        f"{definition}\nz = {call}\ntr = z.iloc[0:50]\nte = z.iloc[40:60]\n"
+        "m.fit(tr)\nm.predict(te)",
+    ]))
+    assert nb.cells[1].precondition == {"df"}
+    assert [r.finding.key for r in analyze_notebook(nb).findings] == [
+        ("overlap", "tr", "te")]
+
+
+def test_every_kind_of_parameter_is_bound_in_the_call():
+    """Positional-only, ordinary, ``*args``, keyword-only and ``**kwargs``
+    parameters are all local to the call; only ``a`` and ``d`` get frames."""
+    cell = translate_cell(
+        "import pandas as pd\ndef f(a, /, b, *c, d, **e):\n"
+        "    return pd.concat([a, b, c, d, e])\nz = f(x, 1, d=y)")
+    assert cell.statements == (Merge("z", "concat", ("x", "y")),)
+    assert cell.precondition == {"x", "y"}
+    assert cell.warnings == ()
 
 
 @pytest.mark.parametrize("name", ["_ts", "_train", "xs"])

@@ -309,6 +309,22 @@ def test_corpus_rejects_malformed_label_entries(tmp_path, capsys, doc, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"[{notebook: 1}]", "Expecting property name enclosed in double quotes"),
+    (b"[\xff]", "codec can't decode byte 0xff"),
+], ids=["json", "utf-8"])
+def test_corpus_names_a_labels_file_it_cannot_decode(tmp_path, capsys, content,
+                                                     message):
+    labels = tmp_path / "broken.json"
+    labels.write_bytes(content)
+    with pytest.raises(ValueError) as e:
+        score_corpus(tmp_path, labels)
+    assert str(e.value).startswith(f"labels {labels}: ")
+    assert message in str(e.value)
+    assert main(["corpus", str(tmp_path), "--labels", str(labels)]) == 2
+    assert f"error: labels {labels}: " in capsys.readouterr().err
+
+
 def test_cli_corpus(capsys):
     assert main(["corpus", str(CORPUS_DIR), "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
