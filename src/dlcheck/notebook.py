@@ -303,7 +303,7 @@ class _Translator:
         self.symbols += 1
         return f"_s{self.symbols - 1}"
 
-    def assign_name(self, base: str, env: dict[str, str]) -> str:
+    def assign_name(self, base: str, env: dict[str, str | None]) -> str:
         """The next renamed name of ``base``, made its binding in ``env``
         (the current names of the scope the assignment is in)."""
         if self.loop_depth and env.get(base) is not None:
