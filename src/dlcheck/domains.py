@@ -304,22 +304,71 @@ def ordered_frames(frames) -> tuple[AbsDataFrame, ...]:
     return tuple(sorted(frames, key=_frame_key))
 
 
+def _lower(f: AbsDataFrame) -> int:
+    return f.rows.lo.offset
+
+
+def _hull(run: AbsDataFrame, hi: RowExpr) -> AbsDataFrame:
+    """``run`` with its rows extended to end at ``hi``."""
+    r = run.rows
+    return run if hi is r.hi else AbsDataFrame(run.file, run.cols, RowInterval(r.lo, hi))
+
+
+def _sweep(frames) -> frozenset[AbsDataFrame] | None:
+    """The canonical set of ``frames`` when they all have one file and one
+    column abstraction and no bound has a symbol; None for any other set.
+
+    Two such frames overlap exactly when their integer intervals meet, so
+    the frames are sorted by lower bound and each one is joined into the
+    running hull when it starts at or before the hull's end (always, once
+    the end is infinite).  No ``df_overlap`` call is made."""
+    first = next(iter(frames))
+    file, cols = first.file, first.cols
+    for f in frames:
+        r = f.rows
+        if f.file != file or f.cols != cols or r.lo.sym is not None or r.hi.sym is not None:
+            return None
+    ordered = sorted(frames, key=_lower)
+    kept = []
+    run = ordered[0]
+    hi = run.rows.hi
+    for f in ordered[1:]:
+        r = f.rows
+        if hi.inf or r.lo.offset <= hi.offset:
+            if not hi.inf and (r.hi.inf or r.hi.offset > hi.offset):
+                hi = r.hi
+            continue
+        kept.append(_hull(run, hi))
+        run, hi = f, r.hi
+    kept.append(_hull(run, hi))
+    return frozenset(kept)
+
+
 def set_reduce(frames, parts=()) -> frozenset[AbsDataFrame]:
     """Join overlapping frames until the set is canonical.
 
     A set of at most one frame is canonical already and is returned as it
-    is.  Otherwise the frames are inserted one at a time in
-    ``ordered_frames`` order.  A frame that overlaps a kept one absorbs it,
-    and the scan starts over: the join may overlap kept frames that neither
-    operand did.  Terminates because every join removes a kept frame.
+    is.  A set whose frames share one file and one column abstraction and
+    have no symbolic bound is swept in O(n log n) (``_sweep``).  Any other
+    set takes the pairwise loop, which stays the reference: the frames are
+    inserted one at a time in ``ordered_frames`` order, a frame that
+    overlaps a kept one absorbs it, and the scan starts over, since the
+    join may overlap kept frames that neither operand did.  It terminates
+    because every join removes a kept frame.  Both give the same set where
+    both apply: with integer bounds and one column set, the canonical set
+    is the hulls of the connected runs of the frames' rows, whatever the
+    order of the joins.
 
     ``parts`` optionally lists canonical sets whose union is ``frames``.
-    Two frames that are both unjoined members of one part are known not to
-    overlap, so that test is skipped; the result is the same as without
-    ``parts``.
+    In the pairwise loop, two frames that are both unjoined members of one
+    part are known not to overlap, so that test is skipped; the result is
+    the same as without ``parts``.
     """
     if len(frames) <= 1:
         return frozenset(frames)
+    swept = _sweep(frames)
+    if swept is not None:
+        return swept
     kept: list[AbsDataFrame] = []
     # Per kept frame, a bit per part the frame is an unjoined member of.
     owners: list[int] = []
@@ -368,7 +417,10 @@ def set_join(a, b) -> frozenset[AbsDataFrame]:
     joins nothing, so the union is returned without it: a join then costs
     one overlap test per pair of frames the operands do not share.  Every
     such pair is tested, so the number of tests does not depend on the
-    iteration order of the sets.
+    iteration order of the sets.  Otherwise ``set_reduce`` sweeps the
+    union, or reduces it pairwise with the operands as its ``parts``.  A
+    ``Merge`` of n sources does not fold this join: ``interp.transfer``
+    reduces the union of all n once.
     """
     a, b = frozenset(a), frozenset(b)
     only_b = b - a

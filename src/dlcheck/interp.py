@@ -25,7 +25,6 @@ from .domains import (
     df_overlap,
     ordered_frames,
     set_constrain,
-    set_join,
     set_reduce,
     src_join,
     src_leq,
@@ -184,10 +183,11 @@ def transfer(s: Statement, m: AbstractState) -> AbstractState:
         return m.bind(s.target, SourceAbs(frames, False, out_aligned))
 
     if isinstance(s, Merge):
+        # One reduction of the union of the sources' frames, so the value
+        # does not depend on the order of the sources.
         srcs = [_require(m, v, s.site) for v in s.sources]
-        frames = srcs[0].frames
-        for src in srcs[1:]:
-            frames = set_join(frames, src.frames)
+        parts = [src.frames for src in srcs]
+        frames = set_reduce(frozenset().union(*parts), parts)
         return m.bind(s.target, SourceAbs(frames, any(src.tainted for src in srcs)))
 
     if isinstance(s, Apply):

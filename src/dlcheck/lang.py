@@ -2,8 +2,10 @@
 
 A program is a sequence of statements in single-assignment form: reads from
 named data files, row/column selections, merges of two or more frames
-(concat/join, folded left to right), unary functions (normalize or anything
-else, which is treated as a plain per-row transform), and train/test uses.
+(concat/join: the oracle stacks or joins them left to right, and the
+analyzer's value is one reduction of the union of their frames), unary
+functions (normalize or anything else, which is treated as a plain per-row
+transform), and train/test uses.
 Row positions may be symbolic (an identifier plus an integer offset) so that
 data-dependent split points like ``split+1`` stay representable.
 
@@ -205,7 +207,8 @@ class Select:
 @dataclass(frozen=True)
 class Merge:
     """Two or more sources merged left to right: concat stacks their rows,
-    join matches them."""
+    join matches them.  The abstract value does not depend on the order:
+    it is one reduction of the union of the sources' frames."""
 
     target: str
     op: str  # "concat" | "join"

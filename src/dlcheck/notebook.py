@@ -830,7 +830,11 @@ def _code_cells(data: bytes) -> list[str]:
             raise NotebookError(f"cells[{i}] is not an object")
         if cell.get("cell_type") != "code":
             continue
-        src = cell.get("source", "")
+        if "source" not in cell:
+            # nbformat 4 requires the key: a cell without it is a truncated
+            # notebook, not an empty cell.
+            raise NotebookError(f"cells[{i}]: code cell has no source")
+        src = cell["source"]
         if isinstance(src, list) and all(isinstance(line, str) for line in src):
             src = "".join(src)
         if not isinstance(src, str):

@@ -275,23 +275,94 @@ def test_set_reduce_matches_restart_loop():
         assert set_leq(frames, got)
 
 
-def test_set_reduce_overlap_tests_stay_quadratic(monkeypatch):
-    """100 disjoint frames and a 20-frame adjacent chain that sorts last:
-    each join rescans the kept frames once, not every pair of the set."""
-    disjoint = [frame("f", None, lo, lo + 1) for lo in range(100, 400, 3)]
-    chain = [frame("f", None, lo, lo + 2) for lo in range(900, 940, 2)]
-    calls = 0
+def _count_overlap_tests(monkeypatch):
+    """Route ``domains.df_overlap`` through a counter; returns the counts."""
+    counts = [0]
 
     def counting(a, b):
-        nonlocal calls
-        calls += 1
+        counts[0] += 1
         return df_overlap(a, b)
 
     monkeypatch.setattr(domains, "df_overlap", counting)
+    return counts
+
+
+def test_set_reduce_overlap_tests_stay_quadratic(monkeypatch):
+    """100 disjoint frames and a 20-frame adjacent chain that sorts last.
+    The chain's columns differ from the others', so the set takes the
+    pairwise loop: each join rescans the kept frames once, not every pair
+    of the set.  With one column set, the same windows are swept and make
+    no overlap test."""
+    disjoint = [frame("f", None, lo, lo + 1) for lo in range(100, 400, 3)]
+    chain = [frame("f", {"a"}, lo, lo + 2) for lo in range(900, 940, 2)]
+    calls = _count_overlap_tests(monkeypatch)
     got = set_reduce(disjoint + chain)
-    assert got == frozenset(disjoint) | {frame("f", None, 900, 940)}
+    assert got == frozenset(disjoint) | {frame("f", {"a"}, 900, 940)}
     n, joins = len(disjoint) + len(chain), len(chain) - 1
-    assert calls <= n * (n - 1) // 2 + joins * n
+    assert 0 < calls[0] <= n * (n - 1) // 2 + joins * n
+    calls[0] = 0
+    chain = [frame("f", None, lo, lo + 2) for lo in range(900, 940, 2)]
+    assert set_reduce(disjoint + chain) == frozenset(disjoint) | {frame("f", None, 900, 940)}
+    assert calls[0] == 0
+
+
+def _random_sweep_input(rng):
+    """Up to 14 frames of one file and one column abstraction with integer
+    bounds: gapped, touching (``hi`` equal to the next ``lo``), overlapping,
+    contained and duplicate windows, some with an infinite upper bound."""
+    cols = None if rng.random() < 0.4 else frozenset(rng.sample("abc", rng.randint(1, 3)))
+    out, pos = [], rng.randrange(5)
+    for _ in range(rng.randint(2, 14)):
+        r = rng.random()
+        if out and r < 0.15:
+            out.append(rng.choice(out))
+            continue
+        if out and r < 0.3:
+            outer = rng.choice(out).rows
+            if not outer.hi.inf:
+                lo = rng.randint(outer.lo.offset, outer.hi.offset)
+                out.append(frame("f", cols, lo, rng.randint(lo, outer.hi.offset)))
+                continue
+        if r < 0.55:
+            lo = pos
+        elif r < 0.75:
+            lo = max(pos - rng.randint(1, 4), 0)
+        else:
+            lo = pos + rng.randint(1, 6)
+        hi = "inf" if rng.random() < 0.05 else lo + rng.randrange(8)
+        out.append(frame("f", cols, lo, hi))
+        pos = lo if hi == "inf" else hi
+    rng.shuffle(out)
+    return out
+
+
+def test_set_reduce_sweep_matches_restart_loop(monkeypatch):
+    """Sets of one file and one column abstraction with integer bounds are
+    swept: the same result as the restart loop on 4,000 seeded random
+    sets, with no overlap test.  Adding a frame of a second file, a frame
+    with other columns or one symbolic bound (each to a quarter of the
+    sets) makes the set fall back to the pairwise loop, which also equals
+    the restart loop."""
+    rng = random.Random(11)
+    calls = _count_overlap_tests(monkeypatch)
+    joined = 0
+    for n in range(4000):
+        frames = _random_sweep_input(rng)
+        got = set_reduce(frames)
+        assert calls[0] == 0, [str(f) for f in frames]
+        assert got == reference_set_reduce(frames), [str(f) for f in frames]
+        joined += len(got) < len(set(frames))
+        lo, cols = rng.randrange(60), frames[0].cols
+        extra = (frame("g", cols, lo, lo + 3),
+                 frame("f", {"z"} if cols is None else None, lo, lo + 3),
+                 frame("f", cols, RowExpr.symbol("s", lo), "inf"),
+                 frame("f", cols, lo, RowExpr.symbol("s", lo)))[n % 4]
+        mixed = frames + [extra]
+        got = set_reduce(mixed)
+        assert calls[0] > 0
+        assert got == reference_set_reduce(mixed), [str(f) for f in mixed]
+        calls[0] = 0
+    assert joined > 2000
 
 
 def reference_set_join(a, b):

@@ -374,11 +374,10 @@ def test_alignment_and_both_merge_operands_key_the_value_cache():
         (("overlap", "b", "t"), (1, 3, 4)), (("overlap", "c", "t"), (1, 3, 4))]
 
 
-def test_rerun_concat_cell_makes_no_further_set_join(monkeypatch):
+def test_rerun_concat_cell_makes_no_further_reduction(monkeypatch):
     """A three-cell windows notebook at K=5 with halt-on-finding off: the
     concat cell runs again on later branches with the inputs it had, so one
-    search folds each distinct merge input once: one join per source after
-    the first."""
+    search reduces each distinct merge input once."""
     nb = load_notebook(notebook_bytes([
         f'{IMPORTS}\ndf = pd.read_csv("f.csv")',
         "w = pd.concat([df.iloc[0:10], df.iloc[20:30], df.iloc[30:45], df.iloc[60:70]])",
@@ -393,20 +392,19 @@ def test_rerun_concat_cell_makes_no_further_set_join(monkeypatch):
             inputs.add((id(s), *(m.env[v] for v in s.sources)))
         return transfer(s, m)
 
-    set_join = interp.set_join
+    set_reduce = interp.set_reduce
     calls = 0
 
-    def counted(a, b):
+    def counted(frames, parts=()):
         nonlocal calls
         calls += 1
-        return set_join(a, b)
+        return set_reduce(frames, parts)
 
     monkeypatch.setattr(engine, "transfer", recorded)
-    monkeypatch.setattr(interp, "set_join", counted)
+    monkeypatch.setattr(interp, "set_reduce", counted)
     reference_propagate(nb, 1, cfg, [], [])
     reference_calls, calls = calls, 0
     engine.propagate(nb, 1, cfg)
-    # The key holds the statement and its sources' values: (sources - 1)
-    # joins per distinct input.
-    assert len(inputs) == 1
-    assert reference_calls > calls == sum(len(key) - 2 for key in inputs) == 3
+    # The key holds the statement and its sources' values: one reduction
+    # per distinct input.
+    assert reference_calls > calls == len(inputs) == 1

@@ -1,5 +1,6 @@
 import random
 from dataclasses import replace
+from itertools import permutations
 
 import pytest
 
@@ -7,8 +8,11 @@ from dlcheck.domains import (
     SourceAbs,
     TOP_ROWS,
     frame,
+    is_canonical,
     rows,
     set_constrain,
+    set_join,
+    set_leq,
     set_reduce,
     source_covers,
     src_join,
@@ -486,3 +490,29 @@ def test_merge_of_many_sources_transfers_as_the_binary_chain(op):
         value = transfer(Merge("t", op, sources), st).env["t"]
         assert value == chain.env[prev], sources
         assert not value.aligned
+
+
+def test_merge_of_symbolic_sources_is_one_reduction_of_their_union():
+    """Three sources whose ``g`` frames have bounds on two symbols.  The
+    left-to-right fold of ``set_join`` gives ``g^T_[6, s+76]``: joining
+    ``g^T_[28, 32]`` with ``g^T_[30, s+76]`` first keeps the symbolic end.
+    One reduction of the union gives ``g^T_[6, inf]``.  Both are sound; the
+    merge's value is canonical, covers every source, and is the same for
+    every order of the sources."""
+    s, t = (lambda k: RowExpr.symbol("s", k)), (lambda k: RowExpr.symbol("t", k))
+    values = {
+        "a": SourceAbs(frozenset({frame("f", {"a"}, t(25), t(101)), frame("g", None, 28, 32)})),
+        "b": SourceAbs(frozenset({frame("f", None, 135, 142), frame("f", None, 90, 92),
+                                  frame("g", None, 30, s(76))})),
+        "c": SourceAbs(frozenset({frame("f", {"a"}, s(40), s(42)), frame("f", {"c"}, 47, 53),
+                                  frame("g", {"a", "b", "c"}, s(6), s(8))})),
+    }
+    st = _state(**values)
+    fold = set_join(set_join(values["a"].frames, values["b"].frames), values["c"].frames)
+    assert frame("g", None, 6, s(76)) in fold
+    got = {transfer(Merge("m", "concat", order), st).env["m"].frames
+           for order in permutations(values)}
+    assert got == {frozenset({frame("f", None, 25, "inf"), frame("g", None, 6, "inf")})}
+    merged = got.pop()
+    assert is_canonical(merged)
+    assert all(set_leq(v.frames, merged) for v in values.values())

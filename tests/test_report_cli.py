@@ -117,6 +117,19 @@ def test_cli_unknown_start_cell_names_the_cell_ids(tmp_path, capsys):
     assert err == "error: no cell 99: the notebook's cell ids are 1 to 2\n"
 
 
+def test_cli_analyze_rejects_a_code_cell_with_no_source(tmp_path, capsys):
+    """A truncated notebook is an error, not a notebook with no leak."""
+    nb = tmp_path / "nb.ipynb"
+    nb.write_text(json.dumps({"nbformat": 4, "cells": [
+        {"cell_type": "markdown", "metadata": {}},
+        {"cell_type": "code", "metadata": {}, "outputs": []},
+    ]}))
+    assert main(["analyze", str(nb)]) == 2
+    captured = capsys.readouterr()
+    assert "cells[1]: code cell has no source" in captured.err
+    assert "no data leakage" not in captured.out
+
+
 def test_cli_rejects_dump_state_on_a_notebook(capsys):
     nb = CORPUS_DIR / "o1_off_by_one_split.ipynb"
     assert main(["analyze", str(nb), "--dump-state"]) == 2
